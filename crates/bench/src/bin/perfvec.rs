@@ -1,10 +1,10 @@
-//! `perfvec` — the unified, declarative experiment CLI.
+//! `perfvec` — the unified, declarative experiment CLI and the harness's
+//! only binary.
 //!
-//! One binary replaces the 14 ad-hoc harness binaries: every
-//! figure/table/ablation/bench experiment is a [`ExperimentSpec`] that
-//! can be described by flags or loaded from a JSON config file, and
-//! every run emits a schema-versioned JSON report next to its
-//! human-readable output.
+//! Every figure/table/ablation/bench experiment is an
+//! [`ExperimentSpec`] that can be described by flags or loaded from a
+//! JSON config file, and every run emits a schema-versioned JSON report
+//! next to its human-readable output.
 //!
 //! ```text
 //! perfvec run <experiment> [--scale quick|full|auto] [--seed N]
@@ -14,20 +14,27 @@
 //! perfvec run --config FILE        # one spec object, or an array (a sweep)
 //! perfvec list                     # available experiments
 //! perfvec report PATH              # validate + summarize an emitted report
+//! perfvec probe HOST:PORT --ckpt PATH [--model NAME]
+//!                                  # served == offline parity check
 //! ```
 //!
 //! Unknown subcommands, unknown flags, and malformed values are hard
 //! errors (exit 2): a typo must never silently run a default
 //! experiment.
 
+use perfvec::{predict_total_tenths, program_representation};
 use perfvec_bench::report::validate;
 use perfvec_bench::runner;
 use perfvec_bench::spec::{
     parse_mask, parse_param_value, parse_scale, CachePolicy, ExperimentKind, ExperimentSpec,
 };
 use perfvec_json::Json;
+use perfvec_serve::protocol::f64_from_bits_hex;
+use perfvec_serve::server::named_workload_features;
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
 perfvec — declarative PerfVec experiment harness
@@ -38,6 +45,8 @@ USAGE:
     perfvec list                       list available experiments
     perfvec report PATH                validate + summarize a JSON report
     perfvec asm <action> ...           assemble/inspect/run .pasm programs
+    perfvec probe HOST:PORT --ckpt PATH [--model NAME]
+                                       check a running server against offline predict
     perfvec help                       show this message
 
 RUN FLAGS:
@@ -67,8 +76,8 @@ CONFIG FILE:
     scale, seed, features, march_subset, cache, trace_len, report, params.
 ";
 
-/// Loud exit: the message, a usage pointer, and exit code 2 (matching
-/// the harness flag-parsing convention in `perfvec_bench::scale`).
+/// Loud exit: the message, a usage pointer, and exit code 2 — every
+/// malformed input ends here, never in a silent default.
 fn die(msg: &str) -> ! {
     eprintln!("perfvec: {msg}");
     eprintln!("run `perfvec help` for usage");
@@ -83,14 +92,15 @@ fn main() -> ExitCode {
         Some("list") => cmd_list(),
         Some("report") => cmd_report(&args[1..]),
         Some("asm") => cmd_asm(&args[1..]),
+        Some("probe") => cmd_probe(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => {
             print!("{USAGE}");
             ExitCode::SUCCESS
         }
         Some(other) => die(&format!(
-            "unknown subcommand {other:?} (expected run | list | report | asm | help)"
+            "unknown subcommand {other:?} (expected run | list | report | asm | probe | help)"
         )),
-        None => die("missing subcommand (expected run | list | report | asm | help)"),
+        None => die("missing subcommand (expected run | list | report | asm | probe | help)"),
     }
 }
 
@@ -273,6 +283,116 @@ fn cmd_asm(args: &[String]) -> ExitCode {
     }
 }
 
+/// `perfvec probe` — a client for an already-running `serve` process:
+/// connect (retrying while it starts), check `/healthz`, issue one
+/// prediction, and require it bit-identical to the offline path
+/// recomputed from the same checkpoint file.
+fn cmd_probe(args: &[String]) -> ExitCode {
+    let mut addr = None;
+    let mut ckpt = None;
+    let mut model = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = |flag: &str| -> String {
+            it.next()
+                .cloned()
+                .unwrap_or_else(|| die(&format!("missing value for {flag}")))
+        };
+        match arg.as_str() {
+            "--ckpt" => ckpt = Some(value("--ckpt")),
+            "--model" => model = Some(value("--model")),
+            other if other.starts_with('-') => die(&format!("unknown flag {other:?}")),
+            raw => {
+                let parsed: SocketAddr = raw
+                    .parse()
+                    .unwrap_or_else(|e| die(&format!("bad address {raw:?}: {e}")));
+                if addr.replace(parsed).is_some() {
+                    die(&format!("unexpected extra argument {raw:?}"));
+                }
+            }
+        }
+    }
+    let Some(addr) = addr else {
+        die("probe needs the server address HOST:PORT");
+    };
+    let Some(ckpt) = ckpt else {
+        die("probe requires --ckpt PATH for the offline comparison");
+    };
+    match probe(addr, &ckpt, model.as_deref()) {
+        Ok(line) => {
+            println!("{line}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            perfvec_obs::error!("probe", "[probe] {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The probe proper; returns the parity line on success.
+fn probe(addr: SocketAddr, ckpt: &str, model: Option<&str>) -> Result<String, String> {
+    let http = |conn: &mut TcpStream, method: &str, path: &str, body: &str| {
+        perfvec_serve::client::roundtrip(conn, method, path, body)
+            .map_err(|e| format!("{method} {path}: {e}"))
+    };
+    // The server may still be starting: retry the connect.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut conn = loop {
+        match TcpStream::connect_timeout(&addr, Duration::from_secs(2)) {
+            Ok(c) => break c,
+            Err(e) if Instant::now() < deadline => {
+                perfvec_obs::info!("probe", "[probe] waiting for server ({e})...");
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            Err(e) => return Err(format!("server never came up: {e}")),
+        }
+    };
+    let (status, health) = http(&mut conn, "GET", "/healthz", "")?;
+    if status != 200 {
+        return Err(format!("healthz returned {status}: {health}"));
+    }
+    perfvec_obs::info!("probe", "[probe] healthz ok: {health}");
+
+    // One prediction, compared bit-for-bit against the offline path
+    // recomputed from the same checkpoint.
+    let (program, trace_len, march) = ("999.specrand-like", 800u64, 3usize);
+    let model_field = model
+        .map(|m| format!(r#""model":"{m}","#))
+        .unwrap_or_default();
+    let body = format!(
+        r#"{{{model_field}"program":"{program}","trace_len":{trace_len},"march_index":{march}}}"#
+    );
+    let (status, resp) = http(&mut conn, "POST", "/v1/predict", &body)?;
+    if status != 200 {
+        return Err(format!("predict returned {status}: {resp}"));
+    }
+    let served = resp
+        .get("predicted_bits")
+        .and_then(Json::as_str)
+        .and_then(f64_from_bits_hex)
+        .ok_or_else(|| format!("predict response carries no predicted_bits: {resp}"))?;
+
+    let (foundation, _, table) = perfvec::checkpoint::load(Path::new(ckpt))
+        .map_err(|e| format!("cannot load checkpoint {ckpt}: {e}"))?;
+    let table = table.ok_or_else(|| format!("checkpoint {ckpt} carries no march table"))?;
+    let feats = named_workload_features(program, trace_len)
+        .ok_or_else(|| format!("unknown probe workload {program}"))?;
+    let rep = program_representation(&foundation, &feats);
+    let offline = predict_total_tenths(&rep, table.rep(march), foundation.target_scale);
+    if served.to_bits() != offline.to_bits() {
+        return Err(format!(
+            "PARITY FAILURE: served {served} (0x{:016x}) vs offline {offline} (0x{:016x})",
+            served.to_bits(),
+            offline.to_bits()
+        ));
+    }
+    Ok(format!(
+        "[probe] parity ok: served == offline == {offline} x 0.1ns (bits 0x{:016x})",
+        offline.to_bits()
+    ))
+}
+
 fn cmd_list() -> ExitCode {
     println!("{:<18} DESCRIPTION", "EXPERIMENT");
     for kind in ExperimentKind::ALL {
@@ -409,8 +529,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
 
-    // Environment veto, same convention as the legacy binaries.
-    let env_no_cache = CachePolicy::env_no_cache();
+    // `PERFVEC_NO_CACHE` vetoes the cache for every spec of the run.
+    let env_no_cache = perfvec_bench::cache::env_no_cache();
 
     let specs: Vec<ExperimentSpec> = match (config, experiment) {
         (Some(_), Some(_)) => {

@@ -23,8 +23,9 @@
 //!   `perfvec_trace::binio`).
 //!
 //! The cache root comes from `PERFVEC_CACHE_DIR` (default
-//! `target/perfvec-cache`); `--no-cache` on any harness binary — or
-//! `PERFVEC_NO_CACHE=1` — bypasses it entirely.
+//! `target/perfvec-cache`); `perfvec run --no-cache` — or
+//! `PERFVEC_NO_CACHE=1` — bypasses it entirely (see
+//! [`crate::spec::ExperimentSpec::dataset_cache`]).
 
 use crate::shard::ShardPlan;
 use perfvec::data::build_program_data;
@@ -108,8 +109,7 @@ enum LoadOutcome {
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Whether `PERFVEC_NO_CACHE` vetoes the cache: non-empty and not
-/// `"0"`. The single home of that convention — every cache-policy
-/// decision (legacy args, spec, CLI) delegates here.
+/// `"0"`. The single home of that convention.
 pub fn env_no_cache() -> bool {
     std::env::var("PERFVEC_NO_CACHE")
         .map(|v| !v.is_empty() && v != "0")
@@ -132,16 +132,6 @@ pub struct DatasetCache {
 }
 
 impl DatasetCache {
-    /// The harness default: root from `PERFVEC_CACHE_DIR` (falling back
-    /// to `target/perfvec-cache`), disabled by `--no-cache` or a
-    /// non-empty, non-`"0"` `PERFVEC_NO_CACHE`.
-    pub fn from_env_and_args() -> DatasetCache {
-        if env_no_cache() || crate::scale::flag("--no-cache") {
-            return DatasetCache::disabled();
-        }
-        DatasetCache::at(default_root())
-    }
-
     /// A cache rooted at an explicit directory (tests, tools).
     pub fn at(root: impl Into<PathBuf>) -> DatasetCache {
         DatasetCache {

@@ -12,17 +12,14 @@
 //!   (metrics, per-phase timings, cache stats, version pins) alongside
 //!   its human-readable output.
 //!
-//! The `perfvec` multi-call binary (`run` / `list` / `report`) is the
-//! front door; the historical per-figure binaries (`fig3` … `fig8`,
-//! `table3`, `table4`, `ablation_*`, `train_opt`, `tune_ridge`,
-//! `serve_bench`, `train_bench`) remain as thin shims over the same
-//! runner — at equal seeds their metric values are byte-identical to
-//! the pre-refactor binaries.
+//! The `perfvec` multi-call binary (`run` / `list` / `report` / `asm` /
+//! `probe`) is the only entry point; library code never reads process
+//! arguments.
 //!
-//! Every entry point accepts `--scale quick|full|auto` (default
-//! `quick`; scales only change trace lengths, training budgets, and —
-//! for `auto` — how cold dataset generation is sharded across memory
-//! and cores, never the protocol) and `--no-cache` (bypass the on-disk
+//! `perfvec run` accepts `--scale quick|full|auto` (default `quick`;
+//! scales only change trace lengths, training budgets, and — for
+//! `auto` — how cold dataset generation is sharded across memory and
+//! cores, never the protocol) and `--no-cache` (bypass the on-disk
 //! dataset cache, see [`cache`]).
 
 pub mod cache;
@@ -36,7 +33,7 @@ pub mod shard;
 pub mod spec;
 
 pub use cache::{workload_datasets, CacheStats, DatasetCache};
-pub use pipeline::{eval_seen_unseen, suite_datasets, SuiteData};
+pub use pipeline::{eval_seen_unseen, SuiteData};
 pub use report::Report;
 pub use runner::RunError;
 pub use scale::Scale;

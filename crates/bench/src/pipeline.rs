@@ -2,7 +2,6 @@
 //! suite, foundation evaluation, and report assembly.
 
 use crate::cache::{workload_datasets, CacheStats, DatasetCache};
-use crate::scale::Scale;
 use crate::shard::ShardPlan;
 use perfvec::compose::program_representation;
 use perfvec::predict::{evaluate_program, EvalRow};
@@ -14,51 +13,10 @@ use perfvec_workloads::suite;
 
 pub use perfvec::data::SuiteData;
 
-/// Generate datasets for all 17 workloads on `configs`, serving each
-/// program from the content-addressed dataset cache when possible (see
-/// [`crate::cache`]; `--no-cache` bypasses it).
-pub fn suite_datasets(configs: &[MicroArchConfig], scale: Scale, mask: FeatureMask) -> SuiteData {
-    suite_datasets_stats(configs, scale, mask).0
-}
-
-/// [`suite_datasets`] plus the cache hit/miss stats for progress lines.
-/// The scale picks the generation [`ShardPlan`] (`auto` adapts to the
-/// machine; `quick`/`full` keep the historical policy).
-pub fn suite_datasets_stats(
-    configs: &[MicroArchConfig],
-    scale: Scale,
-    mask: FeatureMask,
-) -> (SuiteData, CacheStats) {
-    suite_datasets_with(
-        &DatasetCache::from_env_and_args(),
-        configs,
-        scale.trace_len(),
-        mask,
-        ShardPlan::for_scale(scale, configs.len()),
-    )
-}
-
-/// Suite datasets at an explicit trace length (the ablation binaries
-/// run at `trace_len() / 2`), cached like [`suite_datasets`], with the
-/// historical generation schedule.
-pub fn suite_datasets_at(
-    configs: &[MicroArchConfig],
-    trace_len: u64,
-    mask: FeatureMask,
-) -> (SuiteData, CacheStats) {
-    suite_datasets_with(
-        &DatasetCache::from_env_and_args(),
-        configs,
-        trace_len,
-        mask,
-        ShardPlan::legacy(),
-    )
-}
-
-/// Suite datasets through an explicit [`DatasetCache`] and generation
-/// [`ShardPlan`] — what the spec-driven runner uses (cache policy and
-/// plan come from the [`crate::spec::ExperimentSpec`], not from process
-/// args).
+/// Datasets for all 17 workloads on `configs`, each served from the
+/// content-addressed dataset cache when possible (see [`crate::cache`]),
+/// through an explicit [`DatasetCache`] and generation [`ShardPlan`]
+/// (both come from the [`crate::spec::ExperimentSpec`]).
 pub fn suite_datasets_with(
     cache: &DatasetCache,
     configs: &[MicroArchConfig],

@@ -1,11 +1,10 @@
 //! Schema-versioned JSON experiment reports.
 //!
-//! Every `perfvec run` (and any legacy shim given `--report PATH`)
-//! emits one machine-readable report alongside its human-readable
-//! stdout: the experiment's metrics, per-phase wall timings, dataset
-//! cache stats, the spec that produced it, and enough version pins
-//! (schema, codec, generator, crate, git) for a consumer to tell
-//! whether two reports are comparable. Reports are written pretty with
+//! Every `perfvec run` emits one machine-readable report alongside its
+//! human-readable stdout: the experiment's metrics, per-phase wall
+//! timings, dataset cache stats, the spec that produced it, and enough
+//! version pins (schema, codec, generator, crate, git) for a consumer
+//! to tell whether two reports are comparable. Reports are written pretty with
 //! **recursively sorted keys** — the byte format is pinned by a golden
 //! test, so downstream consumers cannot be broken silently.
 

@@ -1,21 +1,15 @@
-//! Spec-driven experiment execution: one entry point behind both the
-//! `perfvec` CLI and every legacy figure/table binary.
+//! Spec-driven experiment execution behind the `perfvec` CLI.
 //!
 //! Each experiment's logic lives in a submodule function with the
-//! signature `fn(&ExperimentSpec, &mut Report) -> Result<(), RunError>`
-//! — the exact code the old binaries ran, now recording metrics and
-//! phase timings into the [`Report`] as it prints its human-readable
-//! lines. The legacy binaries are thin shims over [`legacy_main`]; at
-//! equal seeds their stdout metric values are byte-identical to the
-//! pre-refactor binaries because the computation is the same code on
-//! the same inputs.
+//! signature `fn(&ExperimentSpec, &mut Report) -> Result<(), RunError>`,
+//! recording metrics and phase timings into the [`Report`] as it prints
+//! its human-readable lines.
 
 use crate::report::Report;
 use crate::spec::{ExperimentKind, ExperimentSpec};
 use perfvec::predict::EvalRow;
 use perfvec_json::{obj, Json};
 use std::fmt;
-use std::process::ExitCode;
 
 mod ablations;
 mod benches;
@@ -23,8 +17,7 @@ mod figures;
 mod tables;
 
 /// An experiment failure. The message is what the process prints on
-/// stderr before exiting nonzero (legacy binaries printed the same
-/// lines from their `main`).
+/// stderr before exiting nonzero.
 #[derive(Debug)]
 pub struct RunError(pub String);
 
@@ -70,8 +63,7 @@ pub fn run(spec: &ExperimentSpec) -> Result<Report, RunError> {
 
 /// Run one spec end to end — execute, print any failure, write the
 /// report when the spec asks for one. Returns whether everything
-/// succeeded. Shared by the CLI (which also drives sweeps through it)
-/// and the shims.
+/// succeeded. The CLI drives single runs and sweeps through it.
 pub fn execute(spec: &ExperimentSpec) -> bool {
     match run(spec) {
         Ok(report) => {
@@ -99,19 +91,6 @@ pub fn execute(spec: &ExperimentSpec) -> bool {
             }
             false
         }
-    }
-}
-
-/// The whole `main` of a legacy figure/table binary: parse the legacy
-/// argument conventions into a spec, run it, write a report only if
-/// `--report PATH` was given.
-pub fn legacy_main(kind: ExperimentKind) -> ExitCode {
-    perfvec_obs::log::init_default(perfvec_obs::Level::Info);
-    let spec = ExperimentSpec::from_legacy_args(kind);
-    if execute(&spec) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 

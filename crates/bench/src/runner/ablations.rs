@@ -1,6 +1,6 @@
 //! The ablation and utility experiments (`ablation_data`,
-//! `ablation_features`, `train_opt`, `tune_ridge`), ported from the
-//! legacy binaries with report recording added.
+//! `ablation_features`, `train_opt`, `tune_ridge`), each recording its
+//! metrics into the report as it prints.
 
 use super::RunError;
 use crate::cache::workload_datasets;

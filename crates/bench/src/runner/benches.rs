@@ -1,9 +1,8 @@
-//! The throughput harnesses (`serve_bench`, `train_bench`, `sim_bench`),
-//! the first two ported from the legacy binaries with report recording
-//! added. All keep writing their `BENCH_*.json` perf-trajectory files;
-//! the spec report mirrors the same numbers. Parity/regression failures
-//! return [`RunError`] with the exact line the legacy binaries printed
-//! before exiting nonzero.
+//! The throughput harnesses (`serve_bench`, `train_bench`, `sim_bench`,
+//! `obs_overhead`). Each writes its `BENCH_*.json` perf-trajectory file
+//! (all but `obs_overhead`); the spec report mirrors the same numbers.
+//! Parity/regression failures return [`RunError`] with the line to
+//! print before exiting nonzero.
 
 use super::RunError;
 use crate::cache::workload_datasets;
@@ -235,8 +234,8 @@ fn phase_json(r: &PhaseResult) -> Json {
 /// `--set arch=transformer,bilstm,...` sweeps any subset of the model
 /// zoo (default: the paper's LSTM); each architecture gets its own
 /// parity gate, both load phases, and a per-arch entry in
-/// `BENCH_serve.json` (top-level fields mirror the first arch, so
-/// existing consumers keep working).
+/// `BENCH_serve.json`; the report's top-level metrics describe the
+/// first arch.
 pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
     let t0 = Instant::now();
@@ -284,7 +283,6 @@ pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
     let mut parity_secs = 0.0f64;
     let mut measure_secs = 0.0f64;
     let mut arch_entries: Vec<(String, Json)> = Vec::new();
-    let mut first: Option<Json> = None;
     for arch in &archs {
         let name = arch_name(arch.kind);
         // ---- parity gate ---------------------------------------------
@@ -418,13 +416,12 @@ pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
             ("cache_hit_rps", Json::Num(cache_rps)),
         ]);
         report.metric(&format!("{name}_speedup"), Json::Num(speedup));
-        if first.is_none() {
+        if arch_entries.is_empty() {
             report.metric_f64("speedup", speedup);
             report.metric_f64("cache_hit_rps", cache_rps);
             report.metric("parity", Json::Str("bit-identical".into()));
             report.metric("unbatched", phase_json(&unbatched));
             report.metric("batched", phase_json(&batched));
-            first = Some(entry.clone());
         }
         arch_entries.push((name.to_string(), entry));
         if speedup < 3.0 {
@@ -445,28 +442,16 @@ pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
     report.phase("load_phases", measure_secs);
 
     // ---- BENCH_serve.json --------------------------------------------
-    // Top-level fields mirror the first arch (the legacy single-model
-    // layout); `archs` carries every swept architecture by name.
-    let first = first.expect("at least one arch");
-    let mut fields = vec![
+    // `archs` carries every swept architecture by name.
+    let bench = obj(vec![
         ("scale", Json::Str(format!("{scale:?}").to_lowercase())),
-        ("model", first.get("model").cloned().unwrap()),
         ("workers", Json::Num(workers as f64)),
         ("connections", Json::Num(conns as f64)),
         ("requests", Json::Num(requests as f64)),
         ("batch", Json::Num(batch as f64)),
-        ("parity", Json::Str("bit-identical".into())),
-        ("unbatched", first.get("unbatched").cloned().unwrap()),
-        ("batched", first.get("batched").cloned().unwrap()),
-        ("speedup", first.get("speedup").cloned().unwrap()),
-        (
-            "cache_hit_rps",
-            first.get("cache_hit_rps").cloned().unwrap(),
-        ),
-    ];
-    fields.push(("archs", Json::Obj(arch_entries)));
-    fields.push(("wall_seconds", Json::Num(t0.elapsed().as_secs_f64())));
-    let bench = obj(fields);
+        ("archs", Json::Obj(arch_entries)),
+        ("wall_seconds", Json::Num(t0.elapsed().as_secs_f64())),
+    ]);
     std::fs::write("BENCH_serve.json", format!("{bench}\n")).expect("write BENCH_serve.json");
     info!(
         "serve_bench",
@@ -576,8 +561,8 @@ fn resume_smoke(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunErr
 /// `--set arch=transformer,bilstm,...` sweeps any subset of the model
 /// zoo (default: the paper's LSTM); each architecture gets its own
 /// byte-parity gate, both throughput runs, and a per-arch entry in
-/// `BENCH_train.json` (top-level fields mirror the first arch, so
-/// existing consumers keep working).
+/// `BENCH_train.json`; the report's top-level metrics describe the
+/// first arch.
 pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     if spec.param_bool("resume_smoke", false)? {
         return resume_smoke(spec, report);
@@ -610,7 +595,6 @@ pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
     let mut parity_secs = 0.0f64;
     let mut measure_secs = 0.0f64;
     let mut arch_entries: Vec<(String, Json)> = Vec::new();
-    let mut first: Option<Json> = None;
     for arch in &archs {
         let name = arch_name(arch.kind);
         let model_desc = arch_desc(*arch, context);
@@ -696,13 +680,12 @@ pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
             ("batched_steps_per_sec_inner", Json::Num(inner_sps[1])),
         ]);
         report.metric(&format!("{name}_speedup"), Json::Num(speedup));
-        if first.is_none() {
+        if arch_entries.is_empty() {
             report.metric_f64("scalar_steps_per_sec", sps[0]);
             report.metric_f64("batched_steps_per_sec", sps[1]);
             report.metric_f64("speedup", speedup);
             report.metric("parity", Json::Str("byte-identical".into()));
             report.metric("batched_step_us", step_us[1].clone().expect("measured"));
-            first = Some(entry.clone());
         }
         arch_entries.push((name.to_string(), entry));
         if speedup < 1.5 {
@@ -723,30 +706,13 @@ pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
     report.phase("throughput", measure_secs);
 
     // ---- BENCH_train.json --------------------------------------------
-    // Top-level fields mirror the first arch (the legacy single-model
-    // layout); `archs` carries every swept architecture by name.
-    let first = first.expect("at least one arch");
+    // `archs` carries every swept architecture by name.
     let bench = obj(vec![
         ("scale", Json::Str(format!("{scale:?}").to_lowercase())),
-        ("model", first.get("model").cloned().unwrap()),
         ("marches", Json::Num(data[0].num_marches() as f64)),
         ("batch", Json::Num(batch as f64)),
         ("steps", Json::Num(steps as f64)),
         ("windows", Json::Num(windows as f64)),
-        ("parity", Json::Str("byte-identical".into())),
-        (
-            "scalar_steps_per_sec",
-            first.get("scalar_steps_per_sec").cloned().unwrap(),
-        ),
-        (
-            "batched_steps_per_sec",
-            first.get("batched_steps_per_sec").cloned().unwrap(),
-        ),
-        ("speedup", first.get("speedup").cloned().unwrap()),
-        (
-            "batched_step_us",
-            first.get("batched_step_us").cloned().unwrap(),
-        ),
         ("archs", Json::Obj(arch_entries)),
         ("wall_seconds", Json::Num(t0.elapsed().as_secs_f64())),
     ]);
@@ -785,25 +751,23 @@ fn sim_bench_configs(marches: usize) -> Vec<perfvec_sim::MicroArchConfig> {
 /// `sim_bench`: dense-array simulator throughput with a bit-identity
 /// gate against the reference implementation (the seed's data
 /// structures, kept verbatim in `perfvec_sim::reference`) over the full
-/// workload suite, measured three ways — reference, per-cell flat, and
-/// lockstep columns ([`simulate_column`]). Writes `BENCH_sim.json`;
-/// `assert_speedup` / `assert_speedup_lockstep` turn a kernel
-/// regression into a hard failure.
+/// workload suite. Writes `BENCH_sim.json`; `assert_speedup` turns a
+/// kernel regression into a hard failure.
 ///
-/// Measurement: per workload, the lockstep columns (one per core kind
-/// present) run first, then per grid cell (machine x workload) both
-/// per-cell implementations run back to back; `rounds` repetitions,
-/// each cell/column keeping its best time per implementation.
-/// Interleaving at cell granularity (~hundreds of microseconds) makes
-/// the ratios robust to the tens-of-percent timing swings shared CI
-/// machines show over seconds; best-of-N discards the slow outliers
-/// entirely. The first round also checks every flat AND lockstep
-/// result bit-for-bit against the reference.
+/// Measurement: every grid cell runs the fast path ([`simulate`]) and
+/// then the reference, interleaved per cell; `rounds` repetitions, each
+/// cell keeping its best time per implementation. Interleaving at cell
+/// granularity (~1 ms) makes the ratio robust to the tens-of-percent
+/// timing swings shared CI machines show over seconds; best-of-N
+/// discards the slow outliers entirely. The first round also runs one
+/// [`simulate_column`] per core kind and workload, as dataset
+/// generation does, and checks every per-cell and column result
+/// bit-for-bit against the reference.
 pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
     let t0 = Instant::now();
     // Mirror the generation pipeline's trace lengths, so the measured
-    // number is the cold-grid throughput `suite_datasets` actually sees.
+    // number is the cold-grid throughput dataset generation sees.
     let trace_len = spec.trace_len_or(scale.trace_len());
     let marches = spec.param_usize("marches", DEFAULT_POPULATION)?;
     let rounds = spec.param_usize("rounds", 3)?.max(1);
@@ -826,25 +790,21 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
 
     info!(
         "sim_bench",
-        "[sim_bench] simulating {} programs x {} machines three ways (reference, \
-         per-cell flat, lockstep columns), best of {rounds} interleaved rounds...",
+        "[sim_bench] simulating {} programs x {} machines (fast path vs reference), \
+         best of {rounds} interleaved rounds...",
         traces.len(),
         configs.len()
     );
-    // Machines grouped by core kind ([ooo, inorder]): the lockstep
+    // Machines grouped by core kind ([ooo, inorder]): the identity
     // columns run per kind, and the per-kind splits below reuse the
     // same grouping.
-    let kind_idx: [Vec<usize>; 2] = {
-        let mut k: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-        for (ci, c) in configs.iter().enumerate() {
-            k[usize::from(c.core != CoreKind::OutOfOrder)].push(ci);
-        }
-        k
-    };
-    let kind_cfgs: [Vec<MicroArchConfig>; 2] = [
-        kind_idx[0].iter().map(|&ci| configs[ci].clone()).collect(),
-        kind_idx[1].iter().map(|&ci| configs[ci].clone()).collect(),
-    ];
+    let mut kind_idx: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+    for (ci, c) in configs.iter().enumerate() {
+        kind_idx[usize::from(c.core != CoreKind::OutOfOrder)].push(ci);
+    }
+    let kind_cfgs: [Vec<MicroArchConfig>; 2] = kind_idx
+        .each_ref()
+        .map(|idx| idx.iter().map(|&ci| configs[ci].clone()).collect());
     // Warm every core kind present outside the timed region, and gate
     // the warmup itself on bit-identity so a cold-path divergence fails
     // loudly instead of silently warming the wrong code.
@@ -860,18 +820,9 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
             )));
         }
     }
-    // Warm the lockstep path's per-machine scratch pool (one cell per
-    // machine in the column).
-    let _ = simulate_column(&traces[0], &configs);
     let mut flat_best = vec![f64::MAX; grid];
     let mut ref_best = vec![f64::MAX; grid];
-    // Lockstep is timed per (core kind, workload) column, not per cell:
-    // the column is the unit of work the lockstep simulator executes.
-    let mut lock_best = [
-        vec![f64::MAX; traces.len()],
-        vec![f64::MAX; traces.len()],
-    ];
-    // Per-grid-cell flat-kernel wall time (all rounds) and the summed
+    // Per-grid-cell fast-path wall time (all rounds) and the summed
     // architectural counters from the first round — both observational,
     // recorded outside the simulated state.
     let flat_cell_us = Histogram::new();
@@ -879,23 +830,17 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
     let bench_span = Span::start("bench");
     for round in 0..rounds {
         for (wi, t) in traces.iter().enumerate() {
-            // Lockstep columns first: one per core kind present. Only
-            // round 0 keeps the results (for the identity gate).
+            // Round 0 also runs the workload's per-kind columns, kept
+            // for the identity gate (their timings go to the column
+            // metrics, not into the ratio).
             let mut col: Vec<Option<SimResult>> = (0..configs.len()).map(|_| None).collect();
-            for (k, cfgs) in kind_cfgs.iter().enumerate() {
-                if cfgs.is_empty() {
-                    continue;
-                }
-                let tl = Instant::now();
-                let res = simulate_column(t, cfgs);
-                lock_best[k][wi] = lock_best[k][wi].min(tl.elapsed().as_secs_f64());
-                if round == 0 {
-                    for (r, &ci) in res.into_iter().zip(&kind_idx[k]) {
+            if round == 0 {
+                for (idx, cfgs) in kind_idx.iter().zip(&kind_cfgs) {
+                    for (r, &ci) in simulate_column(t, cfgs).into_iter().zip(idx) {
                         col[ci] = Some(r);
                     }
                 }
             }
-            // Then the per-cell implementations, interleaved per cell.
             for (ci, c) in configs.iter().enumerate() {
                 let cell = ci * traces.len() + wi;
                 let tf = Instant::now();
@@ -906,118 +851,69 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
                 let tr = Instant::now();
                 let r = simulate_reference(t, c);
                 ref_best[cell] = ref_best[cell].min(tr.elapsed().as_secs_f64());
-                if round == 0 {
-                    if !f.bits_identical(&r) {
-                        return Err(RunError(format!(
-                            "[sim_bench] IDENTITY FAILURE: {} on {} diverges from the \
-                             reference (flat {:?} vs reference {:?})",
-                            workloads[wi].name, c.name, f.stats, r.stats
-                        )));
-                    }
-                    let l = col[ci].take().expect("lockstep simulated every cell");
-                    if !l.bits_identical(&r) {
-                        return Err(RunError(format!(
-                            "[sim_bench] IDENTITY FAILURE: {} on {} lockstep diverges \
-                             from the reference (lockstep {:?} vs reference {:?})",
-                            workloads[wi].name, c.name, l.stats, r.stats
-                        )));
-                    }
-                    let s = &f.stats;
-                    counters.cycles += s.cycles;
-                    counters.instructions += s.instructions;
-                    counters.l1i_misses += s.l1i_misses;
-                    counters.l1d_misses += s.l1d_misses;
-                    counters.l2_misses += s.l2_misses;
-                    counters.mispredicts += s.mispredicts;
-                    counters.branches += s.branches;
-                    counters.ifetch_accesses += s.ifetch_accesses;
-                    counters.data_accesses += s.data_accesses;
+                if round > 0 {
+                    continue;
                 }
+                let l = col[ci].take().expect("a column simulated every cell");
+                for (path, res) in [("per-cell", &f), ("column", &l)] {
+                    if !res.bits_identical(&r) {
+                        return Err(RunError(format!(
+                            "[sim_bench] IDENTITY FAILURE: {} on {} ({path}) diverges from \
+                             the reference (fast path {:?} vs reference {:?})",
+                            workloads[wi].name, c.name, res.stats, r.stats
+                        )));
+                    }
+                }
+                let s = &f.stats;
+                counters.cycles += s.cycles;
+                counters.instructions += s.instructions;
+                counters.l1i_misses += s.l1i_misses;
+                counters.l1d_misses += s.l1d_misses;
+                counters.l2_misses += s.l2_misses;
+                counters.mispredicts += s.mispredicts;
+                counters.branches += s.branches;
+                counters.ifetch_accesses += s.ifetch_accesses;
+                counters.data_accesses += s.data_accesses;
             }
         }
         if round == 0 {
             info!(
                 "sim_bench",
-                "[sim_bench] identity ok: {grid} grid points bit-identical to the reference"
-            );
-            info!(
-                "sim_bench",
-                "[sim_bench] lockstep identity ok: {grid} grid points bit-identical \
-                 to the reference"
+                "[sim_bench] identity ok: {grid} grid points bit-identical to the reference \
+                 (per cell and in columns)"
             );
         }
     }
     report.phase_span(bench_span);
 
-    // Sum of per-cell bests, overall and split by core kind.
-    let mut flat_secs = 0.0f64;
-    let mut ref_secs = 0.0f64;
+    // Sums of the per-cell bests, overall and split by core kind.
     let mut kind_secs = [[0.0f64; 2]; 2]; // [ooo, inorder] x [flat, ref]
-    for (ci, c) in configs.iter().enumerate() {
-        let k = usize::from(c.core != CoreKind::OutOfOrder);
-        for wi in 0..traces.len() {
-            let cell = ci * traces.len() + wi;
-            flat_secs += flat_best[cell];
-            ref_secs += ref_best[cell];
-            kind_secs[k][0] += flat_best[cell];
-            kind_secs[k][1] += ref_best[cell];
+    for (k, idx) in kind_idx.iter().enumerate() {
+        for &ci in idx {
+            let cells = ci * traces.len()..(ci + 1) * traces.len();
+            kind_secs[k][0] += flat_best[cells.clone()].iter().sum::<f64>();
+            kind_secs[k][1] += ref_best[cells].iter().sum::<f64>();
         }
     }
-    // Sum of per-column bests, overall and per kind.
-    let mut lock_secs = 0.0f64;
-    let mut lock_kind = [0.0f64; 2];
-    for (k, best) in lock_best.iter().enumerate() {
-        if kind_cfgs[k].is_empty() {
-            continue;
-        }
-        for &b in best {
-            lock_secs += b;
-            lock_kind[k] += b;
-        }
-    }
+    let flat_secs = kind_secs[0][0] + kind_secs[1][0];
+    let ref_secs = kind_secs[0][1] + kind_secs[1][1];
 
     let minstr_s = sim_insts as f64 / flat_secs / 1e6;
     let ref_minstr_s = sim_insts as f64 / ref_secs / 1e6;
     let speedup = ref_secs / flat_secs;
-    let speedup_ooo = if kind_secs[0][0] > 0.0 {
-        kind_secs[0][1] / kind_secs[0][0]
-    } else {
-        1.0
-    };
-    let speedup_inorder = if kind_secs[1][0] > 0.0 {
-        kind_secs[1][1] / kind_secs[1][0]
-    } else {
-        1.0
-    };
-    let lock_minstr_s = sim_insts as f64 / lock_secs / 1e6;
-    let speedup_lockstep = ref_secs / lock_secs;
-    let speedup_lockstep_ooo = if lock_kind[0] > 0.0 {
-        kind_secs[0][1] / lock_kind[0]
-    } else {
-        1.0
-    };
-    let speedup_lockstep_inorder = if lock_kind[1] > 0.0 {
-        kind_secs[1][1] / lock_kind[1]
-    } else {
-        1.0
-    };
+    let ratio = |[flat, reference]: [f64; 2]| if flat > 0.0 { reference / flat } else { 1.0 };
+    let [speedup_ooo, speedup_inorder] = kind_secs.map(ratio);
     println!(
         "sim_bench: flat kernels {speedup:.2}x over reference ({ref_minstr_s:.1} -> \
-         {minstr_s:.1} Minstr/s; OoO {speedup_ooo:.2}x, in-order {speedup_inorder:.2}x; \
-         {grid} grid points x {trace_len} instrs, best of {rounds})"
-    );
-    println!(
-        "sim_bench: lockstep columns {speedup_lockstep:.2}x over reference \
-         ({ref_minstr_s:.1} -> {lock_minstr_s:.1} Minstr/s; OoO \
-         {speedup_lockstep_ooo:.2}x, in-order {speedup_lockstep_inorder:.2}x; \
-         {grid} grid points x {trace_len} instrs, best of {rounds})"
+         {minstr_s:.1} Minstr/s per cell; OoO {speedup_ooo:.2}x, in-order \
+         {speedup_inorder:.2}x; {grid} grid points x {trace_len} instrs, best of {rounds})"
     );
 
     // ---- BENCH_sim.json ------------------------------------------------
-    // Lockstep-path instrumentation (per-column decode/simulate wall
-    // time, grid-cell throughput) accumulated by `perfvec-obs` across
-    // every column this process ran.
-    let lockstep_metrics = perfvec_sim::lockstep::metrics();
+    // Column instrumentation (per-column decode/simulate wall time,
+    // grid-cell throughput) accumulated by `perfvec-obs` across every
+    // column this process ran.
+    let column_metrics = perfvec_sim::lockstep::metrics();
     // Whole-grid architectural counters (first round; identical every
     // round by the bit-identity gate) — the cache/branch behavior the
     // measured throughput was measured under.
@@ -1048,35 +944,24 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
         ("identity", Json::Str("bit-identical".into())),
         ("reference_seconds", Json::Num(ref_secs)),
         ("flat_seconds", Json::Num(flat_secs)),
-        ("lockstep_seconds", Json::Num(lock_secs)),
         ("reference_minstr_per_sec", Json::Num(ref_minstr_s)),
         ("flat_minstr_per_sec", Json::Num(minstr_s)),
-        ("lockstep_minstr_per_sec", Json::Num(lock_minstr_s)),
         ("speedup", Json::Num(speedup)),
         ("speedup_ooo", Json::Num(speedup_ooo)),
         ("speedup_inorder", Json::Num(speedup_inorder)),
-        ("speedup_lockstep", Json::Num(speedup_lockstep)),
-        ("speedup_lockstep_ooo", Json::Num(speedup_lockstep_ooo)),
-        (
-            "speedup_lockstep_inorder",
-            Json::Num(speedup_lockstep_inorder),
-        ),
         ("flat_cell_us", flat_cell_us.summary().to_json()),
         (
-            "lockstep_column_decode_us",
-            lockstep_metrics.column_decode_us.summary().to_json(),
+            "column_decode_us",
+            column_metrics.column_decode_us.summary().to_json(),
         ),
         (
-            "lockstep_column_simulate_us",
-            lockstep_metrics.column_simulate_us.summary().to_json(),
+            "column_simulate_us",
+            column_metrics.column_simulate_us.summary().to_json(),
         ),
+        ("cells", Json::Num(column_metrics.cells.get() as f64)),
         (
-            "lockstep_cells",
-            Json::Num(lockstep_metrics.cells.get() as f64),
-        ),
-        (
-            "lockstep_cells_per_sec",
-            Json::Num(lockstep_metrics.cells_per_sec.get() as f64),
+            "cells_per_sec",
+            Json::Num(column_metrics.cells_per_sec.get() as f64),
         ),
         ("counters", counters_json.clone()),
         ("wall_seconds", Json::Num(t0.elapsed().as_secs_f64())),
@@ -1089,18 +974,14 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
     );
     report.metric_f64("flat_minstr_per_sec", minstr_s);
     report.metric_f64("reference_minstr_per_sec", ref_minstr_s);
-    report.metric_f64("lockstep_minstr_per_sec", lock_minstr_s);
     report.metric_f64("speedup", speedup);
     report.metric_f64("speedup_ooo", speedup_ooo);
     report.metric_f64("speedup_inorder", speedup_inorder);
-    report.metric_f64("speedup_lockstep", speedup_lockstep);
-    report.metric_f64("speedup_lockstep_ooo", speedup_lockstep_ooo);
-    report.metric_f64("speedup_lockstep_inorder", speedup_lockstep_inorder);
     report.metric("identity", Json::Str("bit-identical".into()));
     report.metric("flat_cell_us", flat_cell_us.summary().to_json());
     report.metric(
-        "lockstep_column_simulate_us",
-        lockstep_metrics.column_simulate_us.summary().to_json(),
+        "column_simulate_us",
+        column_metrics.column_simulate_us.summary().to_json(),
     );
     report.metric("counters", counters_json);
 
@@ -1110,28 +991,13 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
             "[sim_bench] WARNING: speedup {speedup:.2}x below the 2x target on this machine"
         );
     }
-    if speedup_lockstep < 2.0 {
-        warn!(
-            "sim_bench",
-            "[sim_bench] WARNING: lockstep speedup {speedup_lockstep:.2}x below the \
-             2x target on this machine"
-        );
-    }
-    // `assert_speedup` / `assert_speedup_lockstep` turn a
-    // simulator-kernel regression into a hard failure (CI floors these
-    // so a de-flattened inner loop or a de-amortized column walk cannot
-    // land silently).
+    // `assert_speedup` turns a simulator-kernel regression into a hard
+    // failure (CI floors it so a de-flattened inner loop cannot land
+    // silently).
     let min_speedup = spec.param_f64("assert_speedup", 0.0)?;
     if speedup < min_speedup {
         return Err(RunError(format!(
             "[sim_bench] FAIL: speedup {speedup:.2}x below the asserted minimum {min_speedup}x"
-        )));
-    }
-    let min_lockstep = spec.param_f64("assert_speedup_lockstep", 0.0)?;
-    if speedup_lockstep < min_lockstep {
-        return Err(RunError(format!(
-            "[sim_bench] FAIL: lockstep speedup {speedup_lockstep:.2}x below the \
-             asserted minimum {min_lockstep}x"
         )));
     }
     Ok(())

@@ -1,6 +1,5 @@
-//! The figure experiments (fig3–fig8) plus the spec-only `custom`
-//! pipeline, ported verbatim from the legacy binaries with report
-//! recording added.
+//! The figure experiments (fig3–fig8) plus the `custom` pipeline, each
+//! recording its metrics into the report as it prints.
 
 use super::{rows_json, RunError};
 use crate::cache::workload_datasets;

@@ -1,5 +1,5 @@
-//! The table experiments (Table III and Table IV), ported from the
-//! legacy binaries with report recording added.
+//! The table experiments (Table III and Table IV), each recording its
+//! metrics into the report as it prints.
 //!
 //! Table IV's exhaustive ground truth now flows through
 //! [`crate::cache`] like every other dataset batch: the 17-program x

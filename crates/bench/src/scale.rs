@@ -9,53 +9,6 @@ use perfvec::foundation::ArchSpec;
 use perfvec::trainer::TrainConfig;
 use perfvec_ml::schedule::StepDecay;
 
-/// True when `name` appears verbatim among the process arguments.
-///
-/// Shared parser for the harness-wide boolean flags every figure/table
-/// binary accepts (`--no-cache`; `--scale` takes a value and is parsed
-/// by [`Scale::from_args`]).
-pub fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-/// The value of `--name V` or `--name=V` among the process arguments,
-/// if present.
-pub fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == name) {
-        return args.get(i + 1).cloned();
-    }
-    let eq = format!("{name}=");
-    args.iter()
-        .find_map(|a| a.strip_prefix(&eq).map(str::to_string))
-}
-
-/// Parse the value of `--name V` (or `--name=V`), defaulting only when
-/// the flag is entirely absent.
-///
-/// A flag that is *present* but unparseable — or present with its
-/// value missing — aborts with exit code 2 instead of silently falling
-/// back: harness flags gate regressions (`--assert-speedup`), and a
-/// typo that quietly disabled a gate would let exactly the regression
-/// it guards against land with CI green.
-pub fn arg_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let eq = format!("{name}=");
-    let present = std::env::args().any(|a| a == name || a.starts_with(&eq));
-    if !present {
-        return default;
-    }
-    match arg_value(name) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("bad value {v:?} for {name}");
-            std::process::exit(2);
-        }),
-        None => {
-            eprintln!("missing value for {name}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Experiment scale selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -72,24 +25,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from process args (`--scale quick|full|auto`), default
-    /// `Quick`.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for i in 0..args.len() {
-            if args[i] == "--scale" {
-                if let Some(v) = args.get(i + 1) {
-                    return match v.as_str() {
-                        "full" => Scale::Full,
-                        "auto" => Scale::Auto,
-                        _ => Scale::Quick,
-                    };
-                }
-            }
-        }
-        Scale::Quick
-    }
-
     /// Dynamic instructions collected per workload trace.
     pub fn trace_len(&self) -> u64 {
         match self {

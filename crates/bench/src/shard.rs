@@ -15,7 +15,6 @@
 //! produced datasets are byte-identical for every plan and core count —
 //! pinned by the `shard_determinism` integration test.
 
-use crate::scale::Scale;
 use perfvec_trace::features::NUM_FEATURES;
 
 /// Bytes per trace record we budget for during generation: `f32`
@@ -53,7 +52,8 @@ impl ShardPlan {
         }
     }
 
-    /// Adaptive policy for `--scale auto`: bound in-flight programs by
+    /// Adaptive policy for `--scale auto` (see
+    /// [`crate::spec::ExperimentSpec::shard_plan`]): bound in-flight programs by
     /// detected available memory (each program's dataset estimated from
     /// `trace_len` and the machine-population size) and go parallel as
     /// soon as two programs miss.
@@ -75,16 +75,6 @@ impl ShardPlan {
         ShardPlan {
             min_parallel_misses: 2,
             max_in_flight: by_mem.min(cores.max(1)),
-        }
-    }
-
-    /// The plan a given scale implies: `auto` adapts to the machine,
-    /// everything else keeps the historical policy. `num_configs` is
-    /// the machine-population size the caller is about to simulate.
-    pub fn for_scale(scale: Scale, num_configs: usize) -> ShardPlan {
-        match scale {
-            Scale::Auto => ShardPlan::auto(scale.trace_len(), num_configs),
-            Scale::Quick | Scale::Full => ShardPlan::legacy(),
         }
     }
 }
@@ -154,15 +144,6 @@ mod tests {
         assert_eq!(wide.max_in_flight, 8);
         let tiny = ShardPlan::auto_for(60_000, 77, 1 << 20, 8);
         assert_eq!(tiny.max_in_flight, 1);
-    }
-
-    #[test]
-    fn for_scale_dispatch() {
-        assert_eq!(ShardPlan::for_scale(Scale::Quick, 77), ShardPlan::legacy());
-        assert_eq!(ShardPlan::for_scale(Scale::Full, 77), ShardPlan::legacy());
-        let auto = ShardPlan::for_scale(Scale::Auto, 77);
-        assert_eq!(auto.min_parallel_misses, 2);
-        assert!(auto.max_in_flight >= 1);
     }
 
     #[test]

@@ -1,17 +1,14 @@
 //! The declarative experiment API: a typed [`ExperimentSpec`] that
 //! fully determines one harness run.
 //!
-//! A spec can be built three ways — from the `perfvec` CLI's flags,
-//! from a JSON config file (see [`ExperimentSpec::from_json`]), or from
-//! a legacy figure/table binary's argument conventions
-//! ([`ExperimentSpec::from_legacy_args`], what the thin bin shims use)
-//! — and every way produces the same runs through
-//! [`crate::runner::run`]. The JSON form is the scenario surface: a
-//! config file can select march subsets, feature masks, trace lengths,
-//! and kind-specific parameters that no hardcoded binary exposes.
+//! A spec is built from the `perfvec` CLI's flags or from a JSON config
+//! file (see [`ExperimentSpec::from_json`]); both produce the same runs
+//! through [`crate::runner::run`]. The JSON form is the scenario
+//! surface: a config file can select march subsets, feature masks,
+//! trace lengths, and kind-specific parameters per entry of a sweep.
 
 use crate::cache::DatasetCache;
-use crate::scale::{arg_value, flag, Scale};
+use crate::scale::Scale;
 use crate::shard::ShardPlan;
 use perfvec_json::{obj, ConvertError, FromJson, Json, ToJson};
 use perfvec_sim::sample::{training_population, DEFAULT_MARCH_SEED};
@@ -59,8 +56,6 @@ pub enum ExperimentKind {
     ObsOverhead,
     /// The generic train-and-evaluate pipeline with every knob open:
     /// march subset x feature mask x trace length x training params.
-    /// Only reachable through a spec (CLI flags or config file) — no
-    /// legacy binary exists for it.
     Custom,
 }
 
@@ -87,8 +82,7 @@ impl ExperimentKind {
     ];
 
     /// The stable name used on the CLI, in config files, and in report
-    /// `experiment` fields (matches the legacy binary name where one
-    /// exists).
+    /// `experiment` fields.
     pub fn name(&self) -> &'static str {
         match self {
             ExperimentKind::Fig3 => "fig3",
@@ -158,13 +152,7 @@ impl ExperimentKind {
             ExperimentKind::TrainBench => {
                 &["arch", "batch", "steps", "assert_speedup", "resume_smoke"]
             }
-            ExperimentKind::SimBench => &[
-                "marches",
-                "rounds",
-                "assert_speedup",
-                "assert_speedup_lockstep",
-                "programs",
-            ],
+            ExperimentKind::SimBench => &["marches", "rounds", "assert_speedup", "programs"],
             ExperimentKind::ObsOverhead => &["requests", "rounds", "max_overhead"],
             ExperimentKind::Custom => &[
                 "dim",
@@ -214,27 +202,12 @@ pub enum CachePolicy {
     /// Serve hits from `PERFVEC_CACHE_DIR`, publish misses (default).
     #[default]
     ReadWrite,
-    /// Regenerate everything, store nothing (`--no-cache`).
+    /// Regenerate everything, store nothing (`--no-cache`, or a
+    /// non-empty, non-`"0"` `PERFVEC_NO_CACHE`).
     Bypass,
 }
 
 impl CachePolicy {
-    /// Whether `PERFVEC_NO_CACHE` vetoes the cache (delegates to
-    /// [`crate::cache::env_no_cache`], the convention's single home).
-    pub fn env_no_cache() -> bool {
-        crate::cache::env_no_cache()
-    }
-
-    /// The harness-wide convention: bypass on `--no-cache` or a
-    /// non-empty, non-`"0"` `PERFVEC_NO_CACHE`.
-    pub fn from_env_and_args() -> CachePolicy {
-        if Self::env_no_cache() || flag("--no-cache") {
-            CachePolicy::Bypass
-        } else {
-            CachePolicy::ReadWrite
-        }
-    }
-
     fn name(&self) -> &'static str {
         match self {
             CachePolicy::ReadWrite => "read_write",
@@ -245,10 +218,10 @@ impl CachePolicy {
 
 /// One fully-determined harness run.
 ///
-/// Defaults reproduce the corresponding legacy binary exactly; every
-/// field widens the scenario surface beyond what the binaries could
-/// express (march subsets, feature masks, non-default seeds, explicit
-/// trace lengths, kind-specific parameters).
+/// Defaults reproduce the paper protocol of the experiment; every field
+/// widens the scenario surface (march subsets, feature masks,
+/// non-default seeds, explicit trace lengths, kind-specific
+/// parameters).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Which experiment to run.
@@ -276,8 +249,8 @@ pub struct ExperimentSpec {
 }
 
 impl ExperimentSpec {
-    /// The default spec for `kind`: byte-identical behavior to the
-    /// legacy binary run with no arguments.
+    /// The default spec for `kind`: what `perfvec run <kind>` runs with
+    /// no flags.
     pub fn new(kind: ExperimentKind) -> ExperimentSpec {
         ExperimentSpec {
             kind,
@@ -290,76 +263,6 @@ impl ExperimentSpec {
             report_path: None,
             params: Vec::new(),
         }
-    }
-
-    /// The spec a legacy figure/table binary's argument conventions
-    /// describe: `--scale` (ignored by `tune_ridge`, as before),
-    /// `--no-cache`/`PERFVEC_NO_CACHE`, an optional `--report PATH`,
-    /// and the bench binaries' own flags mapped to params. Unknown
-    /// flags are ignored, exactly as the legacy binaries ignored them.
-    pub fn from_legacy_args(kind: ExperimentKind) -> ExperimentSpec {
-        let mut spec = ExperimentSpec::new(kind);
-        // tune_ridge always ran at quick scale regardless of --scale.
-        if kind != ExperimentKind::TuneRidge {
-            spec.scale = Scale::from_args();
-        }
-        spec.cache = CachePolicy::from_env_and_args();
-        // --report keeps the harness flags' loudness: present without a
-        // value is exit 2, never a silently skipped report.
-        if std::env::args().any(|a| a == "--report" || a.starts_with("--report=")) {
-            match arg_value("--report") {
-                Some(path) => spec.report_path = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("missing value for --report");
-                    std::process::exit(2);
-                }
-            }
-        }
-        // A legacy flag that is *present* keeps arg_parse's loudness:
-        // a missing or unparseable value exits 2, never a silent
-        // default (see `scale::arg_parse`).
-        let mut param = |key: &str, flag_name: &str, parse: fn(&str) -> Option<f64>| {
-            let eq = format!("{flag_name}=");
-            let present = std::env::args().any(|a| a == flag_name || a.starts_with(&eq));
-            if !present {
-                return;
-            }
-            match arg_value(flag_name) {
-                Some(raw) => match parse(&raw) {
-                    Some(v) => spec.params.push((key.to_string(), Json::Num(v))),
-                    None => {
-                        eprintln!("bad value {raw:?} for {flag_name}");
-                        std::process::exit(2);
-                    }
-                },
-                None => {
-                    eprintln!("missing value for {flag_name}");
-                    std::process::exit(2);
-                }
-            }
-        };
-        let int = |s: &str| s.parse::<u64>().ok().map(|v| v as f64);
-        let num = |s: &str| s.parse::<f64>().ok();
-        match kind {
-            ExperimentKind::ServeBench => {
-                param("batch", "--batch", int);
-                param("workers", "--workers", int);
-                param("conns", "--conns", int);
-                param("requests", "--requests", int);
-                param("assert_speedup", "--assert-speedup", num);
-            }
-            ExperimentKind::TrainBench => {
-                param("batch", "--batch", int);
-                param("steps", "--steps", int);
-                param("assert_speedup", "--assert-speedup", num);
-                if flag("--resume-smoke") {
-                    spec.params
-                        .push(("resume_smoke".to_string(), Json::Bool(true)));
-                }
-            }
-            _ => {}
-        }
-        spec
     }
 
     /// Build a spec from a parsed JSON config object. Unknown fields,
@@ -466,9 +369,7 @@ impl ExperimentSpec {
             // Type-check up front: a bad value must fail before the
             // expensive dataset/training phases, not minutes in.
             let typed = match k.as_str() {
-                "assert_speedup" | "assert_speedup_lockstep" | "max_overhead" => {
-                    f64::from_json(v).map(|_| ())
-                }
+                "assert_speedup" | "max_overhead" => f64::from_json(v).map(|_| ()),
                 "resume_smoke" => bool::from_json(v).map(|_| ()),
                 "arch" | "workloads" | "program" | "programs" => String::from_json(v).map(|_| ()),
                 _ => usize::from_json(v).map(|_| ()),
@@ -554,15 +455,14 @@ impl ExperimentSpec {
     }
 
     /// The dataset trace length: the explicit override, else `default`
-    /// (each experiment passes its own legacy default).
+    /// (each experiment passes its own default).
     pub fn trace_len_or(&self, default: u64) -> u64 {
         self.trace_len.unwrap_or(default)
     }
 
     /// A kind-specific numeric param, or `default` when absent.
-    /// Present-but-unparseable aborts the run (mirrors
-    /// [`crate::scale::arg_parse`]'s loudness, as a `Result` instead of
-    /// an exit).
+    /// Present-but-unparseable is an error, never a silent default: a
+    /// typo must not disable a gate such as `assert_speedup`.
     pub fn param_f64(&self, key: &str, default: f64) -> Result<f64, String> {
         match self.param(key) {
             None => Ok(default),
@@ -743,6 +643,18 @@ mod tests {
             Ok("transformer,bilstm".to_string())
         );
         assert_eq!(spec.param_str("missing", "lstm"), Ok("lstm".to_string()));
+    }
+
+    #[test]
+    fn shard_plan_dispatches_on_scale() {
+        let mut spec = ExperimentSpec::new(ExperimentKind::Fig3);
+        assert_eq!(spec.shard_plan(), ShardPlan::legacy());
+        spec.scale = Scale::Full;
+        assert_eq!(spec.shard_plan(), ShardPlan::legacy());
+        spec.scale = Scale::Auto;
+        let auto = spec.shard_plan();
+        assert_eq!(auto.min_parallel_misses, 2);
+        assert!(auto.max_in_flight >= 1);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Integration tests for the `perfvec` multi-call CLI: loud rejection
-//! of unknown subcommands/flags/experiments (exit 2, matching the
-//! harness flag-parsing convention), `list`/`report` behavior, and an
-//! end-to-end config-file sweep over scenarios no legacy binary can
-//! express (custom march subset × feature mask).
+//! of unknown subcommands/flags/experiments and malformed values
+//! (exit 2), `list`/`report` behavior, and an end-to-end config-file
+//! sweep (custom march subset × feature mask).
 
 use perfvec_json::Json;
 use std::path::Path;
@@ -79,6 +78,35 @@ fn missing_flag_value_and_bad_values_exit_2() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("empty range"), "{}", stderr(&out));
+
+    // An unknown scale is an error, never a silent fallback to quick.
+    let out = perfvec()
+        .args(["run", "fig3", "--scale", "bogus"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("bogus"), "{}", stderr(&out));
+}
+
+#[test]
+fn probe_input_errors_exit_2_before_connecting() {
+    for (args, needle) in [
+        (&["probe", "127.0.0.1:7411"][..], "--ckpt"),
+        (&["probe", "127.0.0.1:7411", "--ckpt"][..], "missing value"),
+        (
+            &["probe", "not-an-address", "--ckpt", "x.pfm"][..],
+            "not-an-address",
+        ),
+        (
+            &["probe", "127.0.0.1:7411", "--ckpt", "x.pfm", "--frob"][..],
+            "--frob",
+        ),
+        (&["probe", "--ckpt", "x.pfm"][..], "HOST:PORT"),
+    ] {
+        let out = perfvec().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(needle), "{args:?}: {}", stderr(&out));
+    }
 }
 
 #[test]
@@ -167,11 +195,12 @@ fn report_subcommand_rejects_invalid_documents() {
 }
 
 /// The acceptance scenario: a config-file sweep over custom march
-/// subsets × feature masks — a scenario surface no legacy binary
+/// subsets × feature masks — a scenario surface no fixed per-figure
+/// binary
 /// exposes — runs end to end, and each run's report parses, validates,
 /// and echoes its spec.
 #[test]
-fn config_file_sweep_runs_scenarios_no_legacy_bin_can_express() {
+fn config_file_sweep_runs_custom_scenarios() {
     let dir = std::env::temp_dir().join(format!("perfvec_cli_sweep_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 

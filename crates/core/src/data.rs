@@ -62,15 +62,15 @@ impl SuiteData {
 /// Build one program's dataset: `n x 51` features plus `n x k`
 /// incremental latencies (0.1 ns) for the `k` given microarchitectures.
 ///
-/// The machine grid is simulated with the lockstep column simulator
-/// ([`simulate_column`]): the trace is decoded once and whole machine
-/// chunks advance through it record by record, amortizing the
-/// per-record walk. Chunks of distinct microarchitectures are
-/// independent and run in parallel when this is the outermost parallel
-/// region; inside a program-parallel generation wave (where nested
-/// parallelism degrades to sequential) the whole column runs as one
-/// lockstep chunk. Per-cell results are bit-identical either way, so
-/// chunking never affects dataset contents or cache keys.
+/// The machine grid is simulated with the column simulator
+/// ([`simulate_column`]): the trace is decoded once per chunk of
+/// machines and each machine runs over that one buffer. Chunks of
+/// distinct microarchitectures are independent and run in parallel when
+/// this is the outermost parallel region; inside a program-parallel
+/// generation wave (where nested parallelism degrades to sequential)
+/// the whole column runs as one chunk. Per-cell results are
+/// bit-identical either way, so chunking never affects dataset contents
+/// or cache keys.
 pub fn build_program_data(
     name: &str,
     trace: &Trace,

@@ -3,30 +3,15 @@
 //! Scoreboarded in-order pipeline (Cortex-A7/A53 flavour): instructions
 //! issue strictly in program order, stall on source operands (loads block
 //! at first use), share the front end's fetch/branch behaviour with the
-//! OoO model, and retire in order. The timing loop lives in
-//! [`crate::machine::InorderMachine`] and is shared with the lockstep
-//! grid simulator.
-
-use crate::config::MicroArchConfig;
-use crate::latency::SimResult;
-use crate::machine::{run_inorder_cell, with_scratch};
-use perfvec_isa::Trace;
-
-/// Simulate `trace` on the in-order machine `cfg`.
-pub fn simulate_inorder(trace: &Trace, cfg: &MicroArchConfig) -> SimResult {
-    with_scratch(|s| {
-        s.dt.build(trace);
-        let (dt, cells) = (&s.dt, &mut s.cells);
-        run_inorder_cell(dt, cfg, &mut cells[0])
-    })
-}
+//! OoO model, and retire in order. The timing loop lives in the crate's
+//! private `machine` module; run it through [`crate::simulate`] or
+//! [`crate::simulate_column`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ooo::simulate_ooo;
     use crate::sample::predefined_configs;
-    use perfvec_isa::{Emulator, ProgramBuilder, Reg};
+    use crate::{simulate, MicroArchConfig};
+    use perfvec_isa::{Emulator, ProgramBuilder, Reg, Trace};
 
     fn cfg(name: &str) -> MicroArchConfig {
         predefined_configs()
@@ -57,7 +42,7 @@ mod tests {
     fn inorder_ipc_bounded_by_issue_width() {
         let t = ilp_trace();
         let c = cfg("cortex-a7-like"); // dual issue
-        let r = simulate_inorder(&t, &c);
+        let r = simulate(&t, &c);
         assert!(r.stats.ipc() <= c.issue_width as f64 + 1e-9);
         assert!(
             r.stats.ipc() > 0.4,
@@ -69,16 +54,16 @@ mod tests {
     #[test]
     fn ooo_core_outruns_inorder_core_on_same_trace() {
         let t = ilp_trace();
-        let io = simulate_inorder(&t, &cfg("a53-like"));
-        let ooo = simulate_ooo(&t, &cfg("o3-big"));
+        let io = simulate(&t, &cfg("a53-like"));
+        let ooo = simulate(&t, &cfg("o3-big"));
         assert!(ooo.stats.ipc() > io.stats.ipc());
     }
 
     #[test]
     fn scalar_core_is_slowest() {
         let t = ilp_trace();
-        let scalar = simulate_inorder(&t, &cfg("scalar-simple"));
-        let dual = simulate_inorder(&t, &cfg("a53-like"));
+        let scalar = simulate(&t, &cfg("scalar-simple"));
+        let dual = simulate(&t, &cfg("a53-like"));
         assert!(scalar.stats.ipc() <= 1.0 + 1e-9);
         assert!(dual.stats.cycles < scalar.stats.cycles);
     }
@@ -90,7 +75,7 @@ mod tests {
             .iter()
             .filter(|c| c.core == crate::config::CoreKind::InOrder)
         {
-            let r = simulate_inorder(&t, c);
+            let r = simulate(&t, c);
             assert!(
                 (r.sum_incremental() - r.total_tenths).abs() < 1e-6 * r.total_tenths.max(1.0),
                 "{}",
@@ -117,8 +102,8 @@ mod tests {
         b.halt();
         let p = b.build();
         let t = Emulator::new(&p).run(100_000).unwrap();
-        let io = simulate_inorder(&t, &cfg("a53-like"));
-        let ooo = simulate_ooo(&t, &cfg("o3-medium"));
+        let io = simulate(&t, &cfg("a53-like"));
+        let ooo = simulate(&t, &cfg("o3-medium"));
         assert!(ooo.stats.ipc() > io.stats.ipc());
     }
 }

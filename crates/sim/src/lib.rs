@@ -17,10 +17,10 @@
 //! reproduces the paper's 77-machine dataset recipe.
 //!
 //! For grid generation — many machines over one trace —
-//! [`simulate_column`] advances a whole machine column through the
-//! trace in lockstep, amortizing the per-record walk across the column
-//! while staying bit-identical per cell to [`simulate`] and to the
-//! frozen [`reference`] oracle.
+//! [`simulate_column`] decodes the trace once and runs every machine
+//! over that one buffer; [`simulate`] runs the same kernel for one
+//! machine. Every result is bit-identical to the frozen [`reference`]
+//! oracle.
 //!
 //! ```
 //! use perfvec_isa::{ProgramBuilder, Reg, Emulator};
@@ -63,12 +63,13 @@ pub use lockstep::simulate_column;
 
 use perfvec_isa::Trace;
 
-/// Simulate `trace` on `cfg`, dispatching to the configured core model.
+/// Simulate `trace` on `cfg`: the same decode and machine kernel as a
+/// [`simulate_column`] of one, without the column metrics.
 pub fn simulate(trace: &Trace, cfg: &MicroArchConfig) -> SimResult {
-    match cfg.core {
-        CoreKind::OutOfOrder => ooo::simulate_ooo(trace, cfg),
-        CoreKind::InOrder => inorder::simulate_inorder(trace, cfg),
-    }
+    machine::with_scratch(|s| {
+        s.dt.build(trace);
+        machine::run_machine(&s.dt, cfg, &mut s.cell)
+    })
 }
 
 #[cfg(test)]

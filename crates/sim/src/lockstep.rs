@@ -1,61 +1,37 @@
-//! Lockstep grid simulation: one trace walk, many machines.
+//! Grid simulation: one trace decode, many machines.
 //!
 //! [`simulate_column`] decodes a trace once into a flat
-//! [`perfvec_trace::DecodedTrace`] and advances machines through the
-//! trace in **record segments**: every out-of-order machine of the
-//! column runs one cache-sized segment of records ([`SEG`]) before any
-//! machine touches the next segment. The trace decode is paid once per
-//! column instead of once per (record, machine) cell, and the segment
-//! tiling means each SoA record segment is pulled from memory once and
-//! then served from close cache to the whole column — where the
-//! per-cell row-major order re-streams the whole record buffer once
-//! per machine. Machines run each segment **in pairs**
-//! ([`crate::machine::OooMachine::run_span_pair`]): two independent
-//! per-record dependency chains overlap on the host core, with each
-//! machine's hot scalar pipeline state hoisted into registers for the
-//! span. Finer interleavings (record-outer over the column, machine
-//! blocks) measured slower — machine state kept falling out of
-//! registers and L1 between records. In-order machines run whole-trace
-//! paired spans instead: their state is tiny, so segment switches cost
-//! more than the record-stream reuse saves.
+//! [`perfvec_trace::DecodedTrace`], then runs each machine of the
+//! column through the whole trace in turn, over that one buffer. The
+//! decode is paid once per column instead of once per (trace, machine)
+//! cell. [`crate::simulate`] runs the same kernel for one machine.
 //!
 //! Machines are fully independent: each owns its scoreboard, rings,
-//! cache hierarchy, branch state, forwarding window, and — crucially —
-//! its own fetch cursor (`cur_line` / mispredict-restart state) over
-//! the shared decoded buffer, so machines whose control flow diverges
-//! (different mispredict patterns) stay bit-identical to their per-cell
-//! runs. The span runners are literally the same code
-//! ([`crate::machine`]); a machine's segment sequence covers the
-//! records contiguously in order exactly as a single whole-trace span
-//! does, and interleaving independent state machines cannot change any
-//! machine's arithmetic.
+//! cache hierarchy, branch state, forwarding window and fetch cursor,
+//! so a column's results do not depend on which other machines share
+//! it or in what order they appear.
 //!
 //! Observability: per-column decode/simulate wall time and a grid-cell
 //! throughput gauge are recorded through `perfvec-obs`
-//! ([`LockstepMetrics`]) — strictly outside the simulated state.
+//! ([`LockstepMetrics`]) — strictly outside the simulated state. Only
+//! [`simulate_column`] records; per-cell [`crate::simulate`] calls do
+//! not.
 
-use crate::config::{CoreKind, MicroArchConfig};
+use crate::config::MicroArchConfig;
 use crate::latency::SimResult;
-use crate::machine::{with_scratch, InorderMachine, MachineScratch, OooMachine, SimScratch};
+use crate::machine::{run_machine, with_scratch};
 use perfvec_isa::Trace;
 use perfvec_obs::{Counter, Gauge, Histogram};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Records per lockstep segment. Sized so one segment of SoA record
-/// data (5 columns, ~26 bytes per record — ~100KB at 4096) stays in
-/// close cache while all machines of the column run it, yet long
-/// enough that each machine's state reload per segment switch
-/// amortizes to noise (a few KB of hot state per ~4K records).
-const SEG: usize = 4096;
-
-/// Instrumentation for the lockstep path, shared by every thread.
+/// Instrumentation for [`simulate_column`], shared by every thread.
 pub struct LockstepMetrics {
     /// Wall time (µs) spent batch-decoding the trace, per column.
     pub column_decode_us: Histogram,
-    /// Wall time (µs) spent stepping the machine column, per column.
+    /// Wall time (µs) spent simulating the machine column, per column.
     pub column_simulate_us: Histogram,
-    /// Grid cells (machine × trace pairs) simulated via lockstep.
+    /// Grid cells (machine × trace pairs) simulated.
     pub cells: Counter,
     /// Most recent per-column throughput in grid cells per second.
     pub cells_per_sec: Gauge,
@@ -72,105 +48,42 @@ pub fn metrics() -> &'static LockstepMetrics {
     })
 }
 
-/// Simulate `trace` on every machine in `configs`, in lockstep, and
-/// return one [`SimResult`] per config in input order. Each result is
-/// bit-identical to `simulate(trace, &configs[j])` (and therefore to
-/// the frozen reference oracle).
+/// Simulate `trace` on every machine in `configs` and return one
+/// [`SimResult`] per config in input order. Each result is
+/// bit-identical to the frozen reference oracle
+/// ([`crate::reference::simulate_reference`]).
 pub fn simulate_column(trace: &Trace, configs: &[MicroArchConfig]) -> Vec<SimResult> {
-    with_scratch(|s| simulate_column_with(trace, configs, s))
-}
-
-fn simulate_column_with(
-    trace: &Trace,
-    configs: &[MicroArchConfig],
-    s: &mut SimScratch,
-) -> Vec<SimResult> {
     if configs.is_empty() {
         return Vec::new();
     }
-    let m = metrics();
+    with_scratch(|s| {
+        let m = metrics();
+        let t_decode = Instant::now();
+        s.dt.build(trace);
+        m.column_decode_us
+            .record(t_decode.elapsed().as_micros() as u64);
 
-    let t_decode = Instant::now();
-    s.dt.build(trace);
-    m.column_decode_us.record(t_decode.elapsed().as_micros() as u64);
-
-    let SimScratch { dt, cells } = s;
-    if cells.len() < configs.len() {
-        cells.resize_with(configs.len(), MachineScratch::default);
-    }
-    let n = dt.len();
-
-    // Split the column by core kind so the per-record machine loops
-    // stay homogeneous (one predictable dispatch per group) while the
-    // caller keeps one mixed config list.
-    let mut ooo: Vec<(usize, OooMachine)> = Vec::new();
-    let mut inorder: Vec<(usize, InorderMachine)> = Vec::new();
-    for (j, cfg) in configs.iter().enumerate() {
-        match cfg.core {
-            CoreKind::OutOfOrder => ooo.push((j, OooMachine::begin(cfg, n, &mut cells[j]))),
-            CoreKind::InOrder => inorder.push((j, InorderMachine::begin(cfg, n, &mut cells[j]))),
+        let t_sim = Instant::now();
+        let out: Vec<SimResult> = configs
+            .iter()
+            .map(|cfg| run_machine(&s.dt, cfg, &mut s.cell))
+            .collect();
+        let sim_secs = t_sim.elapsed().as_secs_f64();
+        m.column_simulate_us.record((sim_secs * 1e6) as u64);
+        m.cells.add(configs.len() as u64);
+        if sim_secs > 0.0 {
+            m.cells_per_sec
+                .set((configs.len() as f64 / sim_secs) as i64);
         }
-    }
-
-    let t_sim = Instant::now();
-    // Out-of-order machines: segment-outer, machine-inner — every
-    // machine runs the same cache-resident record segment before the
-    // column moves on, so the SoA streams come out of memory once per
-    // column instead of once per machine. Machines run the segment in
-    // pairs — two independent per-record dependency chains overlap on
-    // the host core where one machine's chain (fetch → issue → retire)
-    // is serial — with hot scalars register-resident for the whole
-    // segment (`run_span_pair`).
-    let mut lo = 0;
-    while lo < n {
-        let hi = (lo + SEG).min(n);
-        let mut pairs = ooo.chunks_exact_mut(2);
-        for pair in &mut pairs {
-            let (a, b) = pair.split_at_mut(1);
-            OooMachine::run_span_pair(&mut a[0].1, &mut b[0].1, dt, lo, hi);
-        }
-        for (_, machine) in pairs.into_remainder() {
-            machine.run_span(dt, lo, hi);
-        }
-        lo = hi;
-    }
-    // In-order machines: whole-trace paired spans. Their per-machine
-    // state is tiny (no rings or forwarding window), so segment
-    // switches cost more than the record-stream reuse saves; the pair
-    // interleaving still overlaps the two serial issue chains.
-    let mut pairs = inorder.chunks_exact_mut(2);
-    for pair in &mut pairs {
-        let (a, b) = pair.split_at_mut(1);
-        InorderMachine::run_span_pair(&mut a[0].1, &mut b[0].1, dt, 0, n);
-    }
-    for (_, machine) in pairs.into_remainder() {
-        machine.run_span(dt, 0, n);
-    }
-    let sim_secs = t_sim.elapsed().as_secs_f64();
-    m.column_simulate_us.record((sim_secs * 1e6) as u64);
-    m.cells.add(configs.len() as u64);
-    if sim_secs > 0.0 {
-        m.cells_per_sec.set((configs.len() as f64 / sim_secs) as i64);
-    }
-
-    // Reassemble in the caller's config order.
-    let mut out: Vec<Option<SimResult>> = (0..configs.len()).map(|_| None).collect();
-    for (j, machine) in ooo {
-        out[j] = Some(machine.finish(&mut cells[j]));
-    }
-    for (j, machine) in inorder {
-        out[j] = Some(machine.finish(&mut cells[j]));
-    }
-    out.into_iter()
-        .map(|r| r.expect("every config simulated"))
-        .collect()
+        out
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::simulate_reference;
     use crate::sample::predefined_configs;
-    use crate::simulate;
     use perfvec_isa::{Emulator, ProgramBuilder, Reg};
 
     fn mixed_trace() -> Trace {
@@ -199,19 +112,19 @@ mod tests {
     }
 
     #[test]
-    fn column_matches_per_cell_on_predefined_machines() {
+    fn column_matches_reference_on_predefined_machines() {
         let t = mixed_trace();
         let configs = predefined_configs();
         let col = simulate_column(&t, &configs);
         assert_eq!(col.len(), configs.len());
         for (r, c) in col.iter().zip(&configs) {
-            let cell = simulate(&t, c);
+            let oracle = simulate_reference(&t, c);
             assert!(
-                r.bits_identical(&cell),
-                "{}: lockstep diverged from per-cell ({:?} vs {:?})",
+                r.bits_identical(&oracle),
+                "{}: column diverged from the reference ({:?} vs {:?})",
                 c.name,
                 r.stats,
-                cell.stats
+                oracle.stats
             );
         }
     }
@@ -219,7 +132,7 @@ mod tests {
     #[test]
     fn column_order_follows_config_order() {
         // Mixed kinds in an interleaved order: results must come back
-        // in input order, not grouped by core kind.
+        // in input order.
         let t = mixed_trace();
         let pool = predefined_configs();
         let configs = vec![
@@ -230,7 +143,7 @@ mod tests {
         ];
         let col = simulate_column(&t, &configs);
         for (r, c) in col.iter().zip(&configs) {
-            assert!(r.bits_identical(&simulate(&t, c)), "{}", c.name);
+            assert!(r.bits_identical(&simulate_reference(&t, c)), "{}", c.name);
         }
     }
 

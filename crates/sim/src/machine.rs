@@ -1,28 +1,23 @@
 //! Steppable machine states for the two core models.
 //!
 //! The timing loops from the out-of-order and in-order simulators live
-//! here as `run_span` methods on [`OooMachine`] / [`InorderMachine`]:
-//! all per-machine state (rings, register scoreboard, branch state,
-//! cache hierarchy, fetch cursors, retire tracker) is owned by the
-//! machine struct, and one call advances it through a contiguous span
-//! of trace records, hoisting the hot scalar pipeline state into
-//! locals for the span so it stays in registers. Both the per-cell
-//! `simulate` path (one whole-trace span) and the lockstep
-//! `simulate_column` path (cache-sized record segments) drive the
-//! **same** span runners over the same [`DecodedTrace`], so the two
-//! execution orders are bit-identical by construction — a machine's
-//! span sequence covers the records contiguously in order either way,
-//! and interleaving independent machines cannot change any machine's
-//! arithmetic.
+//! here as `run` methods on [`OooMachine`] / [`InorderMachine`]: all
+//! per-machine state (rings, register scoreboard, branch state, cache
+//! hierarchy, fetch cursors, retire tracker) is owned by the machine
+//! struct, and one call advances it through the whole decoded trace,
+//! hoisting the hot scalar pipeline state into locals so it stays in
+//! registers. [`run_machine`] drives one machine begin → run → finish;
+//! `simulate_column` calls it once per machine over one shared
+//! [`DecodedTrace`], `simulate` once.
 //!
-//! Scratch buffers ([`MachineScratch`], one per concurrently live
-//! machine, pooled in the thread-local [`SimScratch`]) are taken at
-//! [`OooMachine::begin`] and returned at `finish`, so steady-state
-//! simulation never allocates beyond the per-result output vectors.
+//! Scratch buffers ([`MachineScratch`], pooled in the thread-local
+//! [`SimScratch`]) are taken at [`OooMachine::begin`] and returned at
+//! `finish`, so steady-state simulation never allocates beyond the
+//! per-result output vectors.
 
 use crate::branch::{Btb, Predictor};
 use crate::cache::{CachePool, Hierarchy, HitLevel};
-use crate::config::MicroArchConfig;
+use crate::config::{CoreKind, MicroArchConfig};
 use crate::fu::FuState;
 use crate::latency::{RetireTracker, SimResult, SimStats};
 use crate::memsys::MainMemory;
@@ -158,8 +153,8 @@ impl FwdMap {
 
 /// Preallocated per-machine scratch: everything a live machine borrows
 /// for a run and hands back at `finish`, so repeated simulations reuse
-/// their allocations. One instance per *concurrently live* machine —
-/// the per-cell path uses one, a lockstep column uses one per config.
+/// their allocations. Machines run one after another, so one instance
+/// serves a whole column.
 #[derive(Default)]
 pub(crate) struct MachineScratch {
     pub caches: CachePool,
@@ -176,18 +171,15 @@ fn reset(ring: &mut Vec<u64>, len: usize) {
 }
 
 /// Per-thread simulation scratch: the reusable [`DecodedTrace`] buffer
-/// plus a pool of [`MachineScratch`] cells (grown on demand by the
-/// lockstep path; the per-cell path always uses cell 0).
+/// plus the [`MachineScratch`] every machine of a column borrows in turn.
+#[derive(Default)]
 pub(crate) struct SimScratch {
     pub dt: DecodedTrace,
-    pub cells: Vec<MachineScratch>,
+    pub cell: MachineScratch,
 }
 
 thread_local! {
-    static SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch {
-        dt: DecodedTrace::default(),
-        cells: vec![MachineScratch::default()],
-    });
+    static SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::default());
 }
 
 /// Run `f` with this thread's reusable [`SimScratch`].
@@ -196,7 +188,7 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut SimScratch) -> R) -> R {
 }
 
 /// One live out-of-order machine mid-simulation.
-pub(crate) struct OooMachine {
+struct OooMachine {
     // Configuration-derived immutables.
     rob: usize,
     lq: usize,
@@ -241,11 +233,10 @@ pub(crate) struct OooMachine {
 }
 
 /// The hot mutable scalars of one [`OooMachine`], hoisted out of the
-/// (heap-resident) machine while a span runs. Span runners keep this in
-/// a stack local and pass it to the inlined per-record step, so the
-/// optimizer promotes the fields to registers — machine structs living
-/// in a column `Vec` would otherwise pay a load/store round trip per
-/// field per record.
+/// machine while it runs. [`OooMachine::run`] keeps this in a stack
+/// local and passes it to the inlined per-record step, so the optimizer
+/// promotes the fields to registers instead of paying a load/store
+/// round trip per field per record.
 #[derive(Clone, Copy)]
 struct OooHot {
     loads_seen: usize,
@@ -266,7 +257,7 @@ struct OooHot {
 impl OooMachine {
     /// Start a machine for an `n`-record trace, borrowing `scratch`'s
     /// buffers (returned by [`OooMachine::finish`]).
-    pub(crate) fn begin(cfg: &MicroArchConfig, n: usize, scratch: &mut MachineScratch) -> OooMachine {
+    fn begin(cfg: &MicroArchConfig, n: usize, scratch: &mut MachineScratch) -> OooMachine {
         // Occupancy rings: dispatch waits for the entry `size`
         // instructions back to have retired.
         let rob = cfg.rob_size.max(8) as usize;
@@ -332,7 +323,7 @@ impl OooMachine {
         }
     }
 
-    /// Lift the hot mutable scalars into an [`OooHot`] for a span.
+    /// Lift the hot mutable scalars into an [`OooHot`] for a run.
     #[inline]
     fn hot(&self) -> OooHot {
         OooHot {
@@ -352,7 +343,7 @@ impl OooMachine {
         }
     }
 
-    /// Write a span's final [`OooHot`] back into the machine.
+    /// Write a run's final [`OooHot`] back into the machine.
     #[inline]
     fn put_hot(&mut self, h: OooHot) {
         self.loads_seen = h.loads_seen;
@@ -370,7 +361,7 @@ impl OooMachine {
         self.stats.mispredicts = h.mispredicts;
     }
 
-    /// Advance this machine through one record. `h` is the span-local
+    /// Advance this machine through one record. `h` is the run-local
     /// hot state (a stack local in every caller, so after inlining the
     /// fields are promoted to registers); substrates and output buffers
     /// are reached through `self`.
@@ -562,62 +553,24 @@ impl OooMachine {
         }
     }
 
-    /// Advance this machine through records `lo..hi` of the decoded
-    /// trace. The hot scalar pipeline state rides in a stack-local
-    /// [`OooHot`] for the span, so the record loop keeps it in
-    /// registers regardless of how the caller tiles spans across
-    /// machines — the per-cell path runs one whole-trace span, the
-    /// lockstep path runs cache-sized segments.
-    pub(crate) fn run_span(&mut self, dt: &DecodedTrace, lo: usize, hi: usize) {
+    /// Advance this machine through every record of the decoded trace,
+    /// with the hot scalar pipeline state in a stack-local [`OooHot`].
+    fn run(&mut self, dt: &DecodedTrace) {
         let mut h = self.hot();
+        let n = dt.len();
         let insts = &dt.insts[..];
-        let sidx = &dt.sidx[..hi];
-        let pcs = &dt.pc[..hi];
-        let addrs = &dt.addr[..hi];
-        let next_pcs = &dt.next_pc[..hi];
-        let takens = &dt.taken[..hi];
-        for i in lo..hi {
+        let (sidx, pcs, addrs) = (&dt.sidx[..n], &dt.pc[..n], &dt.addr[..n]);
+        let (next_pcs, takens) = (&dt.next_pc[..n], &dt.taken[..n]);
+        for i in 0..n {
             let d = &insts[sidx[i] as usize];
             self.record(&mut h, d, i, pcs[i], addrs[i], takens[i], next_pcs[i]);
         }
         self.put_hot(h);
     }
 
-    /// Advance two machines through records `lo..hi` in lockstep, one
-    /// record at a time. The two machines are fully independent state,
-    /// so their per-record work forms two parallel dependency chains
-    /// the host core can overlap — a single machine's chain (fetch
-    /// cycle → issue → retire, plus the cache-state loads feeding it)
-    /// is serial and leaves issue slots idle. Results are bit-identical
-    /// to two back-to-back [`OooMachine::run_span`] calls.
-    pub(crate) fn run_span_pair(
-        a: &mut OooMachine,
-        b: &mut OooMachine,
-        dt: &DecodedTrace,
-        lo: usize,
-        hi: usize,
-    ) {
-        let mut ha = a.hot();
-        let mut hb = b.hot();
-        let insts = &dt.insts[..];
-        let sidx = &dt.sidx[..hi];
-        let pcs = &dt.pc[..hi];
-        let addrs = &dt.addr[..hi];
-        let next_pcs = &dt.next_pc[..hi];
-        let takens = &dt.taken[..hi];
-        for i in lo..hi {
-            let d = &insts[sidx[i] as usize];
-            let (pc, addr, taken, next) = (pcs[i], addrs[i], takens[i], next_pcs[i]);
-            a.record(&mut ha, d, i, pc, addr, taken, next);
-            b.record(&mut hb, d, i, pc, addr, taken, next);
-        }
-        a.put_hot(ha);
-        b.put_hot(hb);
-    }
-
     /// Tear the machine down into a [`SimResult`], handing buffers back
     /// to `scratch`.
-    pub(crate) fn finish(mut self, scratch: &mut MachineScratch) -> SimResult {
+    fn finish(mut self, scratch: &mut MachineScratch) -> SimResult {
         let cs = self.hier.stats();
         self.hier.recycle(&mut self.pool);
         scratch.caches = self.pool;
@@ -657,7 +610,7 @@ struct InorderHot {
 }
 
 /// One live in-order (scoreboarded) machine mid-simulation.
-pub(crate) struct InorderMachine {
+struct InorderMachine {
     fetch_width: u8,
     front: u64,
     cycle_tenths: f64,
@@ -686,11 +639,7 @@ pub(crate) struct InorderMachine {
 impl InorderMachine {
     /// Start a machine for an `n`-record trace, borrowing `scratch`'s
     /// cache buffers (returned by [`InorderMachine::finish`]).
-    pub(crate) fn begin(
-        cfg: &MicroArchConfig,
-        n: usize,
-        scratch: &mut MachineScratch,
-    ) -> InorderMachine {
+    fn begin(cfg: &MicroArchConfig, n: usize, scratch: &mut MachineScratch) -> InorderMachine {
         let mut pool = std::mem::take(&mut scratch.caches);
         let hier = Hierarchy::from_pool(
             cfg.l1i,
@@ -725,7 +674,7 @@ impl InorderMachine {
         }
     }
 
-    /// Lift the hot mutable scalars into an [`InorderHot`] for a span.
+    /// Lift the hot mutable scalars into an [`InorderHot`] for a run.
     #[inline]
     fn hot(&self) -> InorderHot {
         InorderHot {
@@ -741,7 +690,7 @@ impl InorderMachine {
         }
     }
 
-    /// Write a span's final [`InorderHot`] back into the machine.
+    /// Write a run's final [`InorderHot`] back into the machine.
     #[inline]
     fn put_hot(&mut self, h: InorderHot) {
         self.last_issue = h.last_issue;
@@ -879,53 +828,24 @@ impl InorderMachine {
         h.prev_retire = r;
     }
 
-    /// Advance this machine through records `lo..hi` of the decoded
-    /// trace (same span/hoisting contract as [`OooMachine::run_span`]).
-    pub(crate) fn run_span(&mut self, dt: &DecodedTrace, lo: usize, hi: usize) {
+    /// Advance this machine through every record of the decoded trace
+    /// (same hoisting contract as [`OooMachine::run`]).
+    fn run(&mut self, dt: &DecodedTrace) {
         let mut h = self.hot();
+        let n = dt.len();
         let insts = &dt.insts[..];
-        let sidx = &dt.sidx[..hi];
-        let pcs = &dt.pc[..hi];
-        let addrs = &dt.addr[..hi];
-        let next_pcs = &dt.next_pc[..hi];
-        let takens = &dt.taken[..hi];
-        for i in lo..hi {
+        let (sidx, pcs, addrs) = (&dt.sidx[..n], &dt.pc[..n], &dt.addr[..n]);
+        let (next_pcs, takens) = (&dt.next_pc[..n], &dt.taken[..n]);
+        for i in 0..n {
             let d = &insts[sidx[i] as usize];
             self.record(&mut h, d, i, pcs[i], addrs[i], takens[i], next_pcs[i]);
         }
         self.put_hot(h);
     }
 
-    /// Two-machine lockstep span (same rationale as
-    /// [`OooMachine::run_span_pair`]).
-    pub(crate) fn run_span_pair(
-        a: &mut InorderMachine,
-        b: &mut InorderMachine,
-        dt: &DecodedTrace,
-        lo: usize,
-        hi: usize,
-    ) {
-        let mut ha = a.hot();
-        let mut hb = b.hot();
-        let insts = &dt.insts[..];
-        let sidx = &dt.sidx[..hi];
-        let pcs = &dt.pc[..hi];
-        let addrs = &dt.addr[..hi];
-        let next_pcs = &dt.next_pc[..hi];
-        let takens = &dt.taken[..hi];
-        for i in lo..hi {
-            let d = &insts[sidx[i] as usize];
-            let (pc, addr, taken, next) = (pcs[i], addrs[i], takens[i], next_pcs[i]);
-            a.record(&mut ha, d, i, pc, addr, taken, next);
-            b.record(&mut hb, d, i, pc, addr, taken, next);
-        }
-        a.put_hot(ha);
-        b.put_hot(hb);
-    }
-
     /// Tear the machine down into a [`SimResult`], handing cache
     /// buffers back to `scratch`.
-    pub(crate) fn finish(mut self, scratch: &mut MachineScratch) -> SimResult {
+    fn finish(mut self, scratch: &mut MachineScratch) -> SimResult {
         let cs = self.hier.stats();
         self.hier.recycle(&mut self.pool);
         scratch.caches = self.pool;
@@ -946,27 +866,24 @@ impl InorderMachine {
     }
 }
 
-/// Drive one machine through a whole decoded trace — the per-cell
-/// execution order (row-major: one machine, every record).
-pub(crate) fn run_ooo_cell(
+/// Simulate one machine over a whole decoded trace: begin on `cell`'s
+/// buffers, run every record, and hand the buffers back at finish.
+pub(crate) fn run_machine(
     dt: &DecodedTrace,
     cfg: &MicroArchConfig,
     cell: &mut MachineScratch,
 ) -> SimResult {
     let n = dt.len();
-    let mut m = OooMachine::begin(cfg, n, cell);
-    m.run_span(dt, 0, n);
-    m.finish(cell)
-}
-
-/// In-order counterpart of [`run_ooo_cell`].
-pub(crate) fn run_inorder_cell(
-    dt: &DecodedTrace,
-    cfg: &MicroArchConfig,
-    cell: &mut MachineScratch,
-) -> SimResult {
-    let n = dt.len();
-    let mut m = InorderMachine::begin(cfg, n, cell);
-    m.run_span(dt, 0, n);
-    m.finish(cell)
+    match cfg.core {
+        CoreKind::OutOfOrder => {
+            let mut m = OooMachine::begin(cfg, n, cell);
+            m.run(dt);
+            m.finish(cell)
+        }
+        CoreKind::InOrder => {
+            let mut m = InorderMachine::begin(cfg, n, cell);
+            m.run(dt);
+            m.finish(cell)
+        }
+    }
 }

@@ -14,33 +14,18 @@
 //! * in-order, width-limited retirement (which defines incremental
 //!   latency).
 //!
-//! The timing loop itself lives in [`crate::machine::OooMachine`]: the
+//! The timing loop lives in the crate's private `machine` module: the
 //! trace is batch-decoded into a flat [`perfvec_trace::DecodedTrace`]
 //! (hoisting every `Op` predicate, operand `flat_id`, and PC
 //! computation out of the per-record path) and the machine state steps
-//! through it record by record. The same step function also powers the
-//! lockstep grid simulator ([`crate::lockstep::simulate_column`]), so
-//! the two paths are bit-identical by construction.
-
-use crate::config::MicroArchConfig;
-use crate::latency::SimResult;
-use crate::machine::{run_ooo_cell, with_scratch};
-use perfvec_isa::Trace;
-
-/// Simulate `trace` on the out-of-order machine `cfg`.
-pub fn simulate_ooo(trace: &Trace, cfg: &MicroArchConfig) -> SimResult {
-    with_scratch(|s| {
-        s.dt.build(trace);
-        let (dt, cells) = (&s.dt, &mut s.cells);
-        run_ooo_cell(dt, cfg, &mut cells[0])
-    })
-}
+//! through it record by record. Run it through [`crate::simulate`] or
+//! [`crate::simulate_column`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::sample::predefined_configs;
-    use perfvec_isa::{Emulator, ProgramBuilder, Reg};
+    use crate::{simulate, MicroArchConfig};
+    use perfvec_isa::{Emulator, ProgramBuilder, Reg, Trace};
 
     fn cfg(name: &str) -> MicroArchConfig {
         predefined_configs()
@@ -71,8 +56,8 @@ mod tests {
     #[test]
     fn wide_core_beats_narrow_core_on_ilp() {
         let t = alu_loop_trace(500);
-        let big = simulate_ooo(&t, &cfg("o3-big"));
-        let little = simulate_ooo(&t, &cfg("o3-little"));
+        let big = simulate(&t, &cfg("o3-big"));
+        let little = simulate(&t, &cfg("o3-little"));
         assert!(
             big.stats.ipc() > 1.5 * little.stats.ipc(),
             "big {} vs little {}",
@@ -96,7 +81,7 @@ mod tests {
         b.halt();
         let p = b.build();
         let t = Emulator::new(&p).run(1_000_000).unwrap();
-        let r = simulate_ooo(&t, &cfg("o3-big"));
+        let r = simulate(&t, &cfg("o3-big"));
         assert!(
             r.stats.ipc() < 2.0,
             "serial chain IPC should be low, got {}",
@@ -128,8 +113,8 @@ mod tests {
         let prog = b.build();
         let t = Emulator::new(&prog).run(100_000).unwrap();
 
-        let r = simulate_ooo(&t, &cfg("o3-little"));
-        let alu = simulate_ooo(&alu_loop_trace(2000), &cfg("o3-little"));
+        let r = simulate(&t, &cfg("o3-little"));
+        let alu = simulate(&alu_loop_trace(2000), &cfg("o3-little"));
         assert!(
             r.stats.l1d_misses > 1000,
             "expected many L1D misses, got {}",
@@ -165,7 +150,7 @@ mod tests {
         b.halt();
         let p = b.build();
         let t = Emulator::new(&p).run(100_000).unwrap();
-        let r = simulate_ooo(&t, &cfg("o3-big"));
+        let r = simulate(&t, &cfg("o3-big"));
         assert!(
             r.stats.mispredict_rate() > 0.1,
             "random branches should mispredict, rate {}",
@@ -204,7 +189,7 @@ mod tests {
         let p = b.build();
         let t = Emulator::new(&p).run(100_000).unwrap();
         let c = cfg("o3-medium");
-        let r = simulate_ooo(&t, &c);
+        let r = simulate(&t, &c);
         assert!(
             r.stats.mispredicts > 100,
             "need real restarts, got {}",
@@ -240,7 +225,7 @@ mod tests {
             .iter()
             .filter(|c| c.core == crate::config::CoreKind::OutOfOrder)
         {
-            let r = simulate_ooo(&t, c);
+            let r = simulate(&t, c);
             assert!(
                 (r.sum_incremental() - r.total_tenths).abs() < 1e-6 * r.total_tenths.max(1.0),
                 "{}",
@@ -256,8 +241,8 @@ mod tests {
         let mut slow = fast.clone();
         fast.freq_ghz = 4.0;
         slow.freq_ghz = 1.0;
-        let rf = simulate_ooo(&t, &fast);
-        let rs = simulate_ooo(&t, &slow);
+        let rf = simulate(&t, &fast);
+        let rs = simulate(&t, &slow);
         assert!(rf.total_tenths < rs.total_tenths);
     }
 
@@ -276,7 +261,7 @@ mod tests {
         b.halt();
         let p = b.build();
         let t = Emulator::new(&p).run(100_000).unwrap();
-        let r = simulate_ooo(&t, &cfg("o3-medium"));
+        let r = simulate(&t, &cfg("o3-medium"));
         // Near-perfect locality plus forwarding: should be fast.
         assert!(r.stats.ipc() > 1.0, "forwarding loop IPC {}", r.stats.ipc());
         assert!(r.stats.l1d_misses <= 2);
@@ -288,9 +273,9 @@ mod tests {
         // between simulations (also exercised with interleaved configs).
         let t = alu_loop_trace(200);
         let t2 = alu_loop_trace(137);
-        let first = simulate_ooo(&t, &cfg("o3-big"));
-        let _ = simulate_ooo(&t2, &cfg("o3-little"));
-        let again = simulate_ooo(&t, &cfg("o3-big"));
+        let first = simulate(&t, &cfg("o3-big"));
+        let _ = simulate(&t2, &cfg("o3-little"));
+        let again = simulate(&t, &cfg("o3-big"));
         assert_eq!(first.stats, again.stats);
         assert_eq!(
             first

@@ -1,6 +1,5 @@
-//! The lockstep contract: [`perfvec_sim::simulate_column`] must be
-//! **bit-identical per cell** to the per-cell simulator ([`simulate`])
-//! and to the frozen reference oracle
+//! The column contract: [`perfvec_sim::simulate_column`] must be
+//! **bit-identical per cell** to the frozen reference oracle
 //! ([`perfvec_sim::reference::simulate_reference`]) — same incremental
 //! latencies (by IEEE bit pattern), same `mem_level`, same
 //! `mispredicted`, same counters — for every machine in the column,
@@ -13,7 +12,7 @@
 use perfvec_isa::{Emulator, Program, ProgramBuilder, Reg, Trace};
 use perfvec_sim::reference::simulate_reference;
 use perfvec_sim::sample::{predefined_configs, sample_configs};
-use perfvec_sim::{simulate, simulate_column, MicroArchConfig};
+use perfvec_sim::{simulate_column, MicroArchConfig};
 use proptest::prelude::*;
 
 /// Pool of machines: every predefined config plus sampled OoO and
@@ -149,24 +148,16 @@ fn trace_of(ops: &[u8], iters: i64) -> Trace {
         .expect("random program must run to halt")
 }
 
-/// Assert every cell of a lockstep column is bit-identical to both the
-/// per-cell simulator and the reference oracle.
+/// Assert every cell of a column is bit-identical to the reference
+/// oracle.
 fn assert_column_identity(t: &Trace, configs: &[MicroArchConfig], what: &str) {
     let col = simulate_column(t, configs);
     assert_eq!(col.len(), configs.len());
     for (l, c) in col.iter().zip(configs) {
-        let cell = simulate(t, c);
-        assert!(
-            l.bits_identical(&cell),
-            "{what}: lockstep vs per-cell diverged on {} ({:?} vs {:?})",
-            c.name,
-            l.stats,
-            cell.stats
-        );
         let reference = simulate_reference(t, c);
         assert!(
             l.bits_identical(&reference),
-            "{what}: lockstep vs reference diverged on {} ({:?} vs {:?})",
+            "{what}: column vs reference diverged on {} ({:?} vs {:?})",
             c.name,
             l.stats,
             reference.stats
@@ -178,7 +169,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn lockstep_column_is_bit_identical_per_cell(
+    fn column_is_bit_identical_to_reference_per_cell(
         ops in prop::collection::vec(0u8..=255, 6..32),
         iters in 20i64..160,
         mask in 0u32..1u32 << 14,
@@ -188,23 +179,17 @@ proptest! {
         let col = simulate_column(&t, &configs);
         prop_assert_eq!(col.len(), configs.len());
         for (l, c) in col.iter().zip(&configs) {
-            let cell = simulate(&t, c);
-            prop_assert!(
-                l.bits_identical(&cell),
-                "lockstep vs per-cell diverged on {} ({:?} stats {:?} vs {:?})",
-                c.name, ops, l.stats, cell.stats
-            );
             let reference = simulate_reference(&t, c);
             prop_assert!(
                 l.bits_identical(&reference),
-                "lockstep vs reference diverged on {} ({:?} stats {:?} vs {:?})",
+                "column vs reference diverged on {} ({:?} stats {:?} vs {:?})",
                 c.name, ops, l.stats, reference.stats
             );
         }
     }
 
     #[test]
-    fn lockstep_column_is_deterministic(
+    fn column_is_deterministic(
         ops in prop::collection::vec(0u8..=255, 6..24),
         iters in 20i64..120,
         mask in 0u32..1u32 << 14,
@@ -216,7 +201,7 @@ proptest! {
         for ((x, y), c) in a.iter().zip(&b).zip(&configs) {
             prop_assert!(
                 x.bits_identical(y),
-                "lockstep nondeterministic on {}", c.name
+                "column nondeterministic on {}", c.name
             );
         }
     }
@@ -226,7 +211,7 @@ proptest! {
 /// every loop body, exercising the forwarding map's fence sequence and
 /// the in-order barrier stall on every record of the column.
 #[test]
-fn fence_heavy_column_matches_per_cell_and_reference() {
+fn fence_heavy_column_matches_reference() {
     // ops ≡ 6 (mod 16) → fences, interleaved with stores and loads so
     // the fences actually order something.
     let ops = [6u8, 4, 6, 3, 6, 5, 6, 12, 6, 14, 6];
@@ -239,7 +224,7 @@ fn fence_heavy_column_matches_per_cell_and_reference() {
 /// different branches and each machine's fetch cursor restarts at
 /// different records.
 #[test]
-fn mispredict_heavy_column_matches_per_cell_and_reference() {
+fn mispredict_heavy_column_matches_reference() {
     // ops ≡ 7 (mod 16) → data-dependent forward branches, with LCG
     // updates (2) feeding them fresh entropy.
     let ops = [7u8, 2, 7, 7, 2, 7, 7, 2, 7, 7];

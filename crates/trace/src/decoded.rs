@@ -3,10 +3,9 @@
 //! instruction table, so simulator inner loops touch no `Op` methods,
 //! no operand `flat_id` resolution, and no per-record PC arithmetic.
 //!
-//! A [`DecodedTrace`] is built once per workload and consumed by every
-//! machine simulated over that trace — both the per-cell `simulate`
-//! path and the lockstep `simulate_column` path, where the decode cost
-//! is amortized over the whole machine column.
+//! `simulate_column` builds one [`DecodedTrace`] per trace and runs
+//! every machine of the column over it, so the decode cost is paid once
+//! per column.
 
 use perfvec_isa::{OpClass, Program, Reg, Trace, CODE_BASE, INST_BYTES, MAX_DST, MAX_SRC};
 
