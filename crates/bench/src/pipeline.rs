@@ -9,6 +9,7 @@ use perfvec::refit::refit_march_table;
 use perfvec::trainer::{train_foundation, TrainConfig, TrainedFoundation};
 use perfvec_sim::MicroArchConfig;
 use perfvec_trace::features::FeatureMask;
+use perfvec_trace::ProgramData;
 use perfvec_workloads::suite;
 
 pub use perfvec::data::SuiteData;
@@ -44,13 +45,26 @@ pub fn datasets_for(
     (SuiteData::assemble_from(workloads, parts), stats)
 }
 
+/// Train the foundation, failing when a loss went non-finite: the error
+/// names the diverged epoch and the epoch whose parameters were kept.
+pub fn train(data: &[ProgramData], cfg: &TrainConfig) -> Result<TrainedFoundation, String> {
+    let trained = train_foundation(data, cfg);
+    match trained.report.diverged_epoch {
+        Some(epoch) => Err(format!(
+            "training diverged at epoch {epoch} (non-finite loss); best finite epoch {}",
+            trained.report.best_epoch
+        )),
+        None => Ok(trained),
+    }
+}
+
 /// Train the foundation on the training programs and refit its
 /// microarchitecture table in closed form over all training instructions
 /// (the converged fixed point of the paper's long table-SGD schedule).
-pub fn train_and_refit(data: &SuiteData, cfg: &TrainConfig) -> TrainedFoundation {
-    let mut trained = train_foundation(&data.train, cfg);
+pub fn train_and_refit(data: &SuiteData, cfg: &TrainConfig) -> Result<TrainedFoundation, String> {
+    let mut trained = train(&data.train, cfg)?;
     trained.march_table = refit_march_table(&trained.foundation, &data.train, 3e-3);
-    trained
+    Ok(trained)
 }
 
 /// Evaluate a trained foundation on seen (training) and unseen (testing)
@@ -113,6 +127,41 @@ mod tests {
         ];
         assert!((subset_mean(&rows, true) - 0.2).abs() < 1e-12);
         assert!((subset_mean(&rows, false) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn diverged_training_is_a_run_error_naming_the_epoch() {
+        use perfvec::data::build_program_data;
+        use perfvec::foundation::ArchSpec;
+        use perfvec_ml::schedule::StepDecay;
+        let configs = perfvec_sim::sample::predefined_configs();
+        let trace = perfvec_workloads::by_name("xz").unwrap().trace(800);
+        let data = [build_program_data(
+            "xz",
+            &trace,
+            &configs,
+            FeatureMask::Full,
+        )];
+        let mut cfg = TrainConfig {
+            arch: ArchSpec::default_lstm(8),
+            context: 4,
+            epochs: 3,
+            batch_size: 16,
+            windows_per_epoch: 200,
+            val_windows: 50,
+            clip_norm: None,
+            ..TrainConfig::default()
+        };
+        assert!(train(&data, &cfg).is_ok());
+        cfg.schedule = StepDecay {
+            initial: 1e-3,
+            gamma: 1e30,
+            every: 1,
+        };
+        let err = train(&data, &cfg)
+            .err()
+            .expect("an absurd rate must diverge");
+        assert!(err.contains("diverged at epoch 1"), "{err}");
     }
 
     #[test]

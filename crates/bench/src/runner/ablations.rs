@@ -13,7 +13,7 @@ use perfvec::finetune::{learn_march_reps, FinetuneConfig};
 use perfvec::foundation::ArchSpec;
 use perfvec::predict::evaluate_program;
 use perfvec::refit::{accumulate_normal_equations, solve_table};
-use perfvec::trainer::{train_foundation, TrainConfig};
+use perfvec::trainer::TrainConfig;
 use perfvec_json::{obj, Json};
 use perfvec_ml::mlp::Mlp;
 use perfvec_ml::schedule::StepDecay;
@@ -82,7 +82,7 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
             .iter()
             .map(|d| d.truncated(d.len() * pct / 100))
             .collect();
-        let trained = train_foundation(&subset, &cfg);
+        let trained = crate::pipeline::train(&subset, &cfg)?;
         let err = eval_unseen_programs(&trained, &data.test);
         perfvec_obs::info!("ablations", 
             "[ablation_data] {pct:>3}% of instructions -> unseen error {:.1}%",
@@ -152,7 +152,7 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
             .iter()
             .map(|d| d.with_march_subset(&keep))
             .collect();
-        let trained = train_foundation(&subset, &cfg);
+        let trained = crate::pipeline::train(&subset, &cfg)?;
         // unseen programs, seen machines
         let prog_err = eval_unseen_programs(&trained, &{
             data.test
@@ -279,7 +279,7 @@ pub fn ablation_features(spec: &ExperimentSpec, report: &mut Report) -> Result<(
 
     perfvec_obs::info!("ablations", "[ablation_features] training with all 51 features...");
     let t_full = std::time::Instant::now();
-    let full = train_foundation(&data.train, &cfg);
+    let full = crate::pipeline::train(&data.train, &cfg)?;
     let full_err = eval(&full, &data.test);
     perfvec_obs::info!("ablations", 
         "[ablation_features] full-feature model in {:.1}s; training without memory/branch features...",
@@ -289,7 +289,7 @@ pub fn ablation_features(spec: &ExperimentSpec, report: &mut Report) -> Result<(
     let t_masked = std::time::Instant::now();
     let masked_train: Vec<ProgramData> = data.train.iter().map(masked).collect();
     let masked_test: Vec<ProgramData> = data.test.iter().map(masked).collect();
-    let ablated = train_foundation(&masked_train, &cfg);
+    let ablated = crate::pipeline::train(&masked_train, &cfg)?;
     let ablated_err = eval(&ablated, &masked_test);
     report.phase("masked_train", t_masked.elapsed().as_secs_f64());
 
@@ -367,7 +367,7 @@ pub fn train_opt(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
                 reuse,
                 ..TrainConfig::default()
             };
-            let trained = train_foundation(&subset, &cfg);
+            let trained = crate::pipeline::train(&subset, &cfg)?;
             times[slot] = trained.report.wall_seconds;
         }
         println!(
@@ -467,7 +467,7 @@ pub fn tune_ridge(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunE
     if let Ok(w) = std::env::var("PV_WINDOWS") {
         cfg.windows_per_epoch = w.parse().unwrap();
     }
-    let trained = train_foundation(&data.train, &cfg);
+    let trained = crate::pipeline::train(&data.train, &cfg)?;
     perfvec_obs::info!("ablations", "trained; accumulating normal equations + reps...");
     let eq = accumulate_normal_equations(&trained.foundation, &data.train);
     let reps: Vec<(String, bool, Vec<f32>, Vec<f64>)> = data

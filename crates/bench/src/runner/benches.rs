@@ -11,7 +11,7 @@ use crate::scale::Scale;
 use crate::spec::ExperimentSpec;
 use perfvec::checkpoint::encode;
 use perfvec::foundation::{ArchKind, ArchSpec, Foundation};
-use perfvec::trainer::{train_foundation, TrainConfig, TrainedFoundation};
+use perfvec::trainer::{TrainConfig, TrainedFoundation};
 use perfvec::{predict_total_tenths, program_representation, MarchTable};
 use perfvec_json::{obj, Json};
 use perfvec_ml::schedule::StepDecay;
@@ -519,17 +519,17 @@ fn resume_smoke(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunErr
     cfg.epochs = 4;
     cfg.windows_per_epoch = 320;
     cfg.val_windows = 200;
-    let straight = train_foundation(&data, &cfg);
+    let straight = crate::pipeline::train(&data, &cfg)?;
 
     let mut phase1 = cfg.clone();
     phase1.epochs = 2;
     phase1.snapshot_every = Some(2);
     phase1.snapshot_path = Some(snap.clone());
-    train_foundation(&data, &phase1);
+    crate::pipeline::train(&data, &phase1)?;
 
     let mut phase2 = cfg.clone();
     phase2.resume_from = Some(snap.clone());
-    let resumed = train_foundation(&data, &phase2);
+    let resumed = crate::pipeline::train(&data, &phase2)?;
     std::fs::remove_file(&snap).ok();
 
     let a = checkpoint_bytes(&straight, cfg.arch);
@@ -605,9 +605,9 @@ pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
         parity_cfg.windows_per_epoch = 200;
         parity_cfg.val_windows = 120;
         parity_cfg.batched = true;
-        let pb = train_foundation(&data, &parity_cfg);
+        let pb = crate::pipeline::train(&data, &parity_cfg)?;
         parity_cfg.batched = false;
-        let ps = train_foundation(&data, &parity_cfg);
+        let ps = crate::pipeline::train(&data, &parity_cfg)?;
         let (b_bytes, s_bytes) = (
             checkpoint_bytes(&pb, parity_cfg.arch),
             checkpoint_bytes(&ps, parity_cfg.arch),
@@ -644,7 +644,7 @@ pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
         let mut inner_sps = [0.0f64; 2];
         for (slot, batched) in [(0usize, false), (1, true)] {
             cfg.batched = batched;
-            let trained = train_foundation(&data, &cfg);
+            let trained = crate::pipeline::train(&data, &cfg)?;
             sps[slot] = steps as f64 / trained.report.wall_seconds;
             step_us[slot] = Some(trained.report.step_time_us.to_json());
             inner_sps[slot] = trained.report.steps_per_sec;

@@ -15,7 +15,7 @@ use perfvec::finetune::{cache_representations, learn_march_reps, FinetuneConfig}
 use perfvec::foundation::{ArchKind, ArchSpec};
 use perfvec::march_model::{train_march_model, MarchModelConfig};
 use perfvec::predict::{evaluate_program, predict_total_tenths};
-use perfvec::trainer::{train_foundation, TrainConfig};
+use perfvec::trainer::TrainConfig;
 use perfvec_isa::Emulator;
 use perfvec_json::{obj, Json};
 use perfvec_sim::sample::{predefined_configs, unseen_population};
@@ -79,7 +79,7 @@ pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
 
     let cfg = train_config(spec)?;
     let t_train = std::time::Instant::now();
-    let trained = train_and_refit(&data, &cfg);
+    let trained = train_and_refit(&data, &cfg)?;
     let train_secs = t_train.elapsed().as_secs_f64();
     report.phase("train", train_secs);
     perfvec_obs::info!("figures", 
@@ -153,7 +153,7 @@ pub fn fig4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
 
     perfvec_obs::info!("figures", "[fig4] training on the Table II split (lbm unseen)...");
     let t_train = std::time::Instant::now();
-    let base = train_and_refit(&data, &cfg);
+    let base = train_and_refit(&data, &cfg)?;
     let base_secs = t_train.elapsed().as_secs_f64();
     report.phase("base_train", base_secs);
     let base_rows = eval_seen_unseen(&base, &data);
@@ -173,7 +173,7 @@ pub fn fig4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         "[fig4] base model in {base_secs:.1}s; retraining with 519.lbm-like in the training set..."
     );
     let t_retrain = std::time::Instant::now();
-    let updated = train_and_refit(&moved, &cfg);
+    let updated = train_and_refit(&moved, &cfg)?;
     let retrain_secs = t_retrain.elapsed().as_secs_f64();
     report.phase("retrain", retrain_secs);
     let rows = eval_seen_unseen(&updated, &moved);
@@ -250,7 +250,7 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         cstats.summary()
     );
     let t_train = std::time::Instant::now();
-    let trained = train_and_refit(&data, &scale.train_config());
+    let trained = train_and_refit(&data, &scale.train_config())?;
     let train_secs = t_train.elapsed().as_secs_f64();
     report.phase("train", train_secs);
 
@@ -441,7 +441,7 @@ pub fn fig6(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         cfg.arch = spec_arch;
         cfg.epochs /= 2;
         cfg.windows_per_epoch /= 2;
-        let trained = train_foundation(&train, &cfg);
+        let trained = crate::pipeline::train(&train, &cfg)?;
         // Evaluate on unseen programs only (what Figure 6 reports);
         // stream-capable architectures get a second pass through the
         // single-pass streaming generator for comparison.
@@ -545,7 +545,7 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         cstats.summary()
     );
     let t_train = std::time::Instant::now();
-    let trained = train_and_refit(&data, &scale.train_config());
+    let trained = train_and_refit(&data, &scale.train_config())?;
     let train_secs = t_train.elapsed().as_secs_f64();
     report.phase("train", train_secs);
     let base = predefined_configs()
@@ -721,7 +721,7 @@ pub fn fig8(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         cstats.summary()
     );
     let t_train = std::time::Instant::now();
-    let trained = train_and_refit(&data, &scale.train_config());
+    let trained = train_and_refit(&data, &scale.train_config())?;
     let train_secs = t_train.elapsed().as_secs_f64();
     report.phase("train", train_secs);
     let t_tiles = std::time::Instant::now();

@@ -21,7 +21,7 @@ use perfvec::finetune::cache_representations;
 use perfvec::foundation::ArchSpec;
 use perfvec::march_model::{train_march_model, MarchModelConfig};
 use perfvec::predict::predict_total_tenths;
-use perfvec::trainer::{train_foundation, TrainConfig};
+use perfvec::trainer::TrainConfig;
 use perfvec_baselines::actboost::{select_active, ActBoost, ActBoostConfig};
 use perfvec_baselines::cross_program::{signature, CrossProgramModel};
 use perfvec_baselines::ithemal::{Ithemal, IthemalConfig};
@@ -116,7 +116,7 @@ pub fn table3(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
         },
         ..TrainConfig::default()
     };
-    let trained = train_foundation(&[data], &cfg);
+    let trained = crate::pipeline::train(&[data], &cfg)?;
     let t = Instant::now();
     let rp = program_representation(&trained.foundation, &base);
     let repgen_ips = n / t.elapsed().as_secs_f64();
@@ -421,7 +421,7 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
         cstats.summary()
     );
     let t_found = Instant::now();
-    let trained = train_and_refit(&data, &scale.train_config());
+    let trained = train_and_refit(&data, &scale.train_config())?;
     let foundation_secs = t_found.elapsed().as_secs_f64();
     report.phase("train", foundation_secs);
 

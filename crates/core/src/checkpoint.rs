@@ -31,6 +31,9 @@ pub enum CheckpointError {
     /// Bytes remain after a complete checkpoint — the file is not a
     /// checkpoint (or was corrupted by concatenation/append).
     Trailing,
+    /// A model parameter or table entry is NaN or infinite: training
+    /// never produces one, and it would poison every prediction.
+    NonFinite,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -39,6 +42,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::BadHeader => write!(f, "bad checkpoint header"),
             CheckpointError::Truncated => write!(f, "truncated checkpoint"),
             CheckpointError::Trailing => write!(f, "trailing bytes after checkpoint"),
+            CheckpointError::NonFinite => write!(f, "non-finite value in checkpoint"),
         }
     }
 }
@@ -217,12 +221,18 @@ pub fn decode(buf: &[u8]) -> Result<(Foundation, ArchSpec, Option<MarchTable>), 
     if params.len() != foundation.model.num_params() {
         return Err(CheckpointError::Truncated);
     }
+    if !params.iter().all(|v| v.is_finite()) {
+        return Err(CheckpointError::NonFinite);
+    }
     foundation.model.set_params(&params);
     let k = bytesless::get_u32(buf, &mut off).ok_or(CheckpointError::Truncated)? as usize;
     let table = if k > 0 {
         let reps = get_f32s(buf, &mut off).ok_or(CheckpointError::Truncated)?;
         if reps.len() != k * dim {
             return Err(CheckpointError::Truncated);
+        }
+        if !reps.iter().all(|v| v.is_finite()) {
+            return Err(CheckpointError::NonFinite);
         }
         Some(MarchTable::from_rows(k, dim, reps))
     } else {
@@ -514,6 +524,34 @@ mod tests {
                 matches!(decode(&bytes), Err(CheckpointError::BadHeader)),
                 "bits {bits:#x}"
             );
+        }
+    }
+
+    #[test]
+    fn non_finite_parameters_and_table_rows_are_rejected() {
+        let (f, spec) = sample_foundation(ArchKind::Lstm);
+        let table = MarchTable::new(3, 8, 9);
+        let valid = encode(&f, spec, Some(&table));
+        let n_params = f.model.num_params();
+        // Parameters start after the 24-byte header and their 4-byte
+        // length prefix; the table rows after the parameters, k, and
+        // the rows' own length prefix.
+        let first_param = 28;
+        let last_row = valid.len() - 4;
+        assert_eq!(
+            first_param + 4 * n_params + 8 + 4 * table.reps.len(),
+            valid.len()
+        );
+        for off in [first_param, first_param + 4 * (n_params - 1), last_row] {
+            for bits in [f32::NAN.to_bits(), f32::NEG_INFINITY.to_bits()] {
+                let mut bytes = valid.clone();
+                bytes[off..off + 4].copy_from_slice(&bits.to_le_bytes());
+                assert_eq!(
+                    decode(&bytes).err(),
+                    Some(CheckpointError::NonFinite),
+                    "offset {off} bits {bits:#x}"
+                );
+            }
         }
     }
 

@@ -6,17 +6,77 @@
 //! program is the **sum** of the representations of its executed
 //! instructions, so total time is `R_p . M`.
 //!
-//! Representation generation is embarrassingly parallel across
-//! instructions — the property the paper highlights for GPU/HPC
-//! execution. Here the windowed generator fans out over rayon; a
-//! stateful streaming generator (LSTM only) is provided as the fast
-//! single-pass alternative, with chunk-level parallelism and warmup
-//! context.
+//! Instruction representations are independent of one another, so
+//! representing instructions is batch-shaped inference. Every windowed
+//! consumer — program representations, serving's coalesced batches,
+//! the table refit ([`crate::refit`]), the trainer's validation loss
+//! and fine-tuning's representation cache — runs through one block
+//! generator: up to [`LANE_WIDTH`] windows go through a single
+//! [`perfvec_ml::seq::SeqModel::forward_batch`], blocks run in
+//! parallel, and the rows come back in instruction order. Each batched
+//! row is bit-identical to a scalar `forward` call
+//! ([`Foundation::repr_at`], the oracle the tests compare against),
+//! and each caller folds the rows in its fixed order, so every sum is
+//! reproducible bit-for-bit on any core count.
+//!
+//! A stateful streaming generator (LSTM and GRU only) is an
+//! approximation with different semantics: one recurrent step per
+//! instruction, with chunk-level parallelism and warmup context.
 
 use crate::foundation::Foundation;
-use perfvec_ml::parallel::parallel_map;
+use perfvec_ml::parallel::{parallel_map, LANE_WIDTH};
 use perfvec_trace::features::Matrix;
 use perfvec_trace::{fill_window, NUM_FEATURES};
+
+/// Instructions summed per accumulator before folding into the total.
+///
+/// Shared by the parallel and the coalesced generators: identical
+/// chunking (and therefore identical floating-point summation order) is
+/// what makes their results bit-identical to one another.
+pub const SUM_CHUNK: usize = 2_048;
+
+/// Fill one window per `(features, instruction)` pair into `xs`,
+/// sequence-major, the input layout of the batched forward passes.
+pub(crate) fn fill_windows<'a>(
+    foundation: &Foundation,
+    windows: impl ExactSizeIterator<Item = (&'a Matrix, usize)>,
+    xs: &mut Vec<f32>,
+) {
+    let stride = foundation.window() * NUM_FEATURES;
+    xs.resize(windows.len() * stride, 0.0);
+    for (lane, (features, i)) in xs.chunks_exact_mut(stride).zip(windows) {
+        fill_window(features, i, foundation.context, lane);
+    }
+}
+
+/// The block generator: fill the windows into the scratch buffer `xs`,
+/// run them through one batched forward pass, and return the `len x d`
+/// representation rows in input order.
+pub(crate) fn forward_windows<'a>(
+    foundation: &Foundation,
+    windows: impl ExactSizeIterator<Item = (&'a Matrix, usize)>,
+    xs: &mut Vec<f32>,
+) -> Vec<f32> {
+    let b = windows.len();
+    fill_windows(foundation, windows, xs);
+    foundation.model.forward_batch(xs, foundation.window(), b)
+}
+
+/// Representations of `n` windows (`window(k)` names the `k`-th) as
+/// `n x d` rows in order: [`LANE_WIDTH`] windows per batched pass, the
+/// blocks in parallel (sequentially when the caller is itself a worker
+/// of a parallel region).
+pub(crate) fn represent_windows<'a, F>(foundation: &Foundation, n: usize, window: F) -> Vec<f32>
+where
+    F: Fn(usize) -> (&'a Matrix, usize) + Sync,
+{
+    parallel_map(n.div_ceil(LANE_WIDTH), |b| {
+        let lo = b * LANE_WIDTH;
+        let hi = (lo + LANE_WIDTH).min(n);
+        forward_windows(foundation, (lo..hi).map(&window), &mut Vec::new())
+    })
+    .concat()
+}
 
 /// Per-instruction representations for `range` (windowed, exact
 /// training-time semantics); returns an `len x d` matrix.
@@ -25,70 +85,54 @@ pub fn instruction_representations(
     features: &Matrix,
     range: std::ops::Range<usize>,
 ) -> Matrix {
-    let d = foundation.dim();
-    let idx: Vec<usize> = range.collect();
-    let rows = parallel_map(idx.len(), |n| foundation.repr_at(features, idx[n]));
-    let mut m = Matrix::zeros(idx.len(), d);
-    for (i, r) in rows.iter().enumerate() {
-        m.row_mut(i).copy_from_slice(r);
+    let rows = range.len();
+    let data = represent_windows(foundation, rows, |k| (features, range.start + k));
+    Matrix {
+        rows,
+        cols: foundation.dim(),
+        data,
     }
-    m
 }
 
-/// Instructions summed per accumulator before folding into the total.
-///
-/// Shared by the windowed, blocked, and batched generators: identical
-/// chunking (and therefore identical floating-point summation order) is
-/// what makes their results bit-identical to one another.
-pub const SUM_CHUNK: usize = 2_048;
+fn add_into(acc: &mut [f32], row: &[f32]) {
+    for (a, &v) in acc.iter_mut().zip(row) {
+        *a += v;
+    }
+}
 
 /// The program representation `R_p = sum_i R_i` over the whole trace,
-/// computed with the exact windowed semantics. Chunk-parallel: each
-/// rayon task sums a contiguous block of instruction representations.
+/// computed with the exact windowed semantics: each [`SUM_CHUNK`] of
+/// instructions is summed in order into its own accumulator, and the
+/// chunk sums fold into the total in chunk order. Chunks run one after
+/// another, each with its blocks in parallel, so only one chunk's rows
+/// are held at a time and a short last chunk cannot leave a core idle.
 pub fn program_representation(foundation: &Foundation, features: &Matrix) -> Vec<f32> {
     let d = foundation.dim();
     let n = features.rows;
-    if n == 0 {
-        return vec![0.0; d];
-    }
-    let chunk = SUM_CHUNK;
-    let n_chunks = n.div_ceil(chunk);
-    let partials = parallel_map(n_chunks, |c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(n);
-        let w = foundation.window();
-        let mut buf = vec![0.0f32; w * NUM_FEATURES];
-        let mut acc = vec![0.0f32; d];
-        for i in lo..hi {
-            fill_window(features, i, foundation.context, &mut buf);
-            let (r, _) = foundation.model.forward(&buf, w);
-            for (a, &v) in acc.iter_mut().zip(&r) {
-                *a += v;
-            }
-        }
-        acc
-    });
     let mut total = vec![0.0f32; d];
-    for p in partials {
-        for (t, &v) in total.iter_mut().zip(&p) {
-            *t += v;
+    for lo in (0..n).step_by(SUM_CHUNK) {
+        let hi = (lo + SUM_CHUNK).min(n);
+        let rows = represent_windows(foundation, hi - lo, |k| (features, lo + k));
+        let mut acc = vec![0.0f32; d];
+        for r in rows.chunks_exact(d) {
+            add_into(&mut acc, r);
         }
+        add_into(&mut total, &acc);
     }
     total
 }
 
 /// Coalesced batched representations for several programs at once: the
 /// windows of all `programs` form one stream (program-major,
-/// instructions ascending), processed `block` windows at a time through
-/// [`perfvec_ml::seq::SeqModel::forward_batch`] — one batched pass can
-/// carry windows from several programs, which is the inference server's
-/// micro-batching coalescing itself.
+/// instructions ascending), cut into blocks of `block` windows for the
+/// block generator — one batched pass can carry windows from several
+/// programs, which is the inference server's micro-batching coalescing
+/// itself.
 ///
 /// Single-threaded by design (the server's worker pool provides the
-/// parallelism). Because each batched window is bit-identical to a
-/// `forward` call, per-program windows are visited in ascending order,
+/// parallelism). Per-program windows are visited in ascending order
 /// and the summation replays [`program_representation`]'s exact
-/// [`SUM_CHUNK`] structure, every returned representation is
+/// [`SUM_CHUNK`] structure, so every returned representation is
 /// **bit-identical** to `program_representation` on that program alone
 /// — for any `block` size and any grouping of programs.
 pub fn program_representations_coalesced(
@@ -97,95 +141,36 @@ pub fn program_representations_coalesced(
     block: usize,
 ) -> Vec<Vec<f32>> {
     let d = foundation.dim();
-    let w = foundation.window();
     let block = block.max(1);
-    let mut totals: Vec<Vec<f32>> = programs.iter().map(|_| vec![0.0f32; d]).collect();
-    let mut accs: Vec<Vec<f32>> = programs.iter().map(|_| vec![0.0f32; d]).collect();
-    let mut seqbuf = vec![0.0f32; block * w * NUM_FEATURES];
-    // (program, instruction) pending in the current window block.
+    let mut totals = vec![vec![0.0f32; d]; programs.len()];
+    let mut accs = totals.clone();
+    let mut stream = programs
+        .iter()
+        .enumerate()
+        .flat_map(|(p, m)| (0..m.rows).map(move |i| (p, i)));
     let mut pending: Vec<(usize, usize)> = Vec::with_capacity(block);
-    for (req, feats) in programs.iter().enumerate() {
-        for i in 0..feats.rows {
-            let s = pending.len();
-            fill_window(
-                feats,
-                i,
-                foundation.context,
-                &mut seqbuf[s * w * NUM_FEATURES..(s + 1) * w * NUM_FEATURES],
-            );
-            pending.push((req, i));
-            if pending.len() == block {
-                run_window_block(
-                    foundation,
-                    &mut pending,
-                    &seqbuf,
-                    programs,
-                    &mut accs,
-                    &mut totals,
-                );
+    let mut xs = Vec::new();
+    loop {
+        pending.clear();
+        pending.extend(stream.by_ref().take(block));
+        if pending.is_empty() {
+            return totals;
+        }
+        let rows = forward_windows(
+            foundation,
+            pending.iter().map(|&(p, i)| (programs[p], i)),
+            &mut xs,
+        );
+        for (r, &(p, i)) in rows.chunks_exact(d).zip(&pending) {
+            add_into(&mut accs[p], r);
+            // Fold the chunk accumulator into the total at chunk
+            // boundaries and at the end of the program's trace.
+            if (i + 1) % SUM_CHUNK == 0 || i + 1 == programs[p].rows {
+                add_into(&mut totals[p], &accs[p]);
+                accs[p].fill(0.0);
             }
         }
     }
-    run_window_block(
-        foundation,
-        &mut pending,
-        &seqbuf,
-        programs,
-        &mut accs,
-        &mut totals,
-    );
-    totals
-}
-
-fn run_window_block(
-    foundation: &Foundation,
-    pending: &mut Vec<(usize, usize)>,
-    seqbuf: &[f32],
-    programs: &[&Matrix],
-    accs: &mut [Vec<f32>],
-    totals: &mut [Vec<f32>],
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let d = foundation.dim();
-    let w = foundation.window();
-    let b = pending.len();
-    // One code path for every block size: batch 1's batch-major layout
-    // coincides with sequence-major, and forward_batch is bit-identical
-    // per sequence to the scalar forward.
-    let outs = foundation
-        .model
-        .forward_batch(&seqbuf[..b * w * NUM_FEATURES], w, b);
-    for (s, &(req, i)) in pending.iter().enumerate() {
-        for (a, &v) in accs[req].iter_mut().zip(&outs[s * d..(s + 1) * d]) {
-            *a += v;
-        }
-        // Fold the chunk accumulator into the total at chunk
-        // boundaries and at the end of the program's trace.
-        let n = programs[req].rows;
-        if (i + 1) % SUM_CHUNK == 0 || i + 1 == n {
-            for (t, a) in totals[req].iter_mut().zip(accs[req].iter_mut()) {
-                *t += *a;
-                *a = 0.0;
-            }
-        }
-    }
-    pending.clear();
-}
-
-/// [`program_representation`] computed single-threaded through the
-/// batched forward pass — the single-program case of
-/// [`program_representations_coalesced`], with the same bit-identity
-/// guarantee.
-pub fn program_representation_blocked(
-    foundation: &Foundation,
-    features: &Matrix,
-    block: usize,
-) -> Vec<f32> {
-    program_representations_coalesced(foundation, &[features], block)
-        .pop()
-        .expect("one program in, one representation out")
 }
 
 /// Fast single-pass streaming representation (stateful recurrent
@@ -225,18 +210,14 @@ pub fn program_representation_streaming(
         for i in start..hi {
             model.stream_step(&mut state, features.row(i), &mut out);
             if i >= lo {
-                for (a, &v) in acc.iter_mut().zip(&out) {
-                    *a += v;
-                }
+                add_into(&mut acc, &out);
             }
         }
         acc
     });
     let mut total = vec![0.0f32; d];
-    for p in partials {
-        for (t, &v) in total.iter_mut().zip(&p) {
-            *t += v;
-        }
+    for p in &partials {
+        add_into(&mut total, p);
     }
     Some(total)
 }
@@ -393,10 +374,13 @@ mod tests {
     }
 
     #[test]
-    fn blocked_representation_is_bit_identical_for_every_block_size() {
-        // The inference server relies on this exact equality for its
-        // served-equals-offline parity guarantee, across architectures
-        // (specialized batched paths and the generic fallback alike).
+    fn coalesced_representations_are_bit_identical_per_program() {
+        // Windows of several programs share forward_batch blocks; each
+        // program's representation must still equal the parallel
+        // generator's exactly — the serving engine's parity foundation.
+        // The programs include an empty trace and one longer than
+        // SUM_CHUNK, so the chunk fold runs mid-stream; block sizes that
+        // do not divide the chunk exercise ragged block tails.
         for kind in [ArchKind::Lstm, ArchKind::Gru, ArchKind::Transformer] {
             let f = Foundation::new(
                 ArchSpec {
@@ -408,64 +392,23 @@ mod tests {
                 0.1,
                 7,
             );
-            let feats = toy_features(100);
-            let reference = program_representation(&f, &feats);
-            for block in [1usize, 7, 32, 256] {
-                let blocked = program_representation_blocked(&f, &feats, block);
-                assert_eq!(reference, blocked, "{kind:?} block {block}");
-            }
-        }
-    }
-
-    #[test]
-    fn coalesced_representations_are_bit_identical_per_program() {
-        // Windows of several programs share forward_batch blocks; each
-        // program's representation must still equal the windowed
-        // reference exactly — the serving engine's parity foundation.
-        for kind in [ArchKind::Lstm, ArchKind::Gru] {
-            let f = Foundation::new(
-                ArchSpec {
-                    kind,
-                    layers: 2,
-                    dim: 8,
-                },
-                3,
-                0.1,
-                7,
-            );
-            let feats: Vec<Matrix> = (0..5).map(|s| toy_features(40 + 13 * s)).collect();
+            let mut feats: Vec<Matrix> = (0..4).map(|s| toy_features(40 + 13 * s)).collect();
+            feats.insert(2, toy_features(0));
+            feats.push(toy_features(SUM_CHUNK + 513));
             let refs: Vec<&Matrix> = feats.iter().collect();
-            for block in [1usize, 3, 8, 64] {
+            let singles: Vec<Vec<f32>> = feats
+                .iter()
+                .map(|m| program_representation(&f, m))
+                .collect();
+            for block in [1usize, 3, 32, 256] {
                 let reps = program_representations_coalesced(&f, &refs, block);
-                for (m, rep) in feats.iter().zip(&reps) {
-                    assert_eq!(
-                        rep,
-                        &program_representation(&f, m),
-                        "{kind:?} block {block}"
-                    );
+                assert_eq!(reps, singles, "{kind:?} block {block}");
+                for (m, single) in feats.iter().zip(&singles) {
+                    let alone = program_representations_coalesced(&f, &[m], block);
+                    assert_eq!(&alone[0], single, "{kind:?} block {block}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn blocked_representation_spans_chunk_boundaries_exactly() {
-        // More instructions than SUM_CHUNK forces the chunk-partial fold
-        // to run; a block size that does not divide the chunk exercises
-        // ragged block tails.
-        let f = lstm_foundation();
-        let feats = toy_features(SUM_CHUNK + 513);
-        assert_eq!(
-            program_representation(&f, &feats),
-            program_representation_blocked(&f, &feats, 30)
-        );
-    }
-
-    #[test]
-    fn blocked_representation_of_empty_trace_is_zero() {
-        let f = lstm_foundation();
-        let feats = Matrix::zeros(0, NUM_FEATURES);
-        assert_eq!(program_representation_blocked(&f, &feats, 8), vec![0.0; 8]);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! computed once and cached — fine-tuning is orders of magnitude cheaper
 //! than foundation training.
 
+use crate::compose::represent_windows;
 use crate::foundation::Foundation;
 use crate::march_table::MarchTable;
 use crate::refit::{try_solve_table, NormalEq};
 use perfvec_ml::adam::Adam;
-use perfvec_ml::parallel::{parallel_map, BatchStep};
+use perfvec_ml::parallel::BatchStep;
 use perfvec_ml::tensor::{axpy, dot};
 use perfvec_trace::ProgramData;
 use rand::rngs::StdRng;
@@ -55,7 +56,7 @@ pub struct CachedReps {
 }
 
 /// Sample windows from the tuning programs and compute their (frozen)
-/// representations once.
+/// representations once, in parallel batched blocks.
 pub fn cache_representations(
     foundation: &Foundation,
     tuning: &[ProgramData],
@@ -73,10 +74,14 @@ pub fn cache_representations(
     pool.truncate(windows.min(pool.len()));
 
     let scale = foundation.target_scale;
-    let reps = parallel_map(pool.len(), |n| {
+    let rows = represent_windows(foundation, pool.len(), |n| {
         let (p, i) = pool[n];
-        foundation.repr_at(&tuning[p].features, i)
+        (&tuning[p].features, i)
     });
+    let reps = rows
+        .chunks_exact(foundation.dim())
+        .map(<[f32]>::to_vec)
+        .collect();
     let targets = pool
         .iter()
         .map(|&(p, i)| {

@@ -98,7 +98,9 @@ impl Foundation {
     }
 
     /// Representation of instruction `i` of a feature matrix, using the
-    /// training-time window (zero-padded at the trace head).
+    /// training-time window (zero-padded at the trace head), through one
+    /// scalar `forward`. This is the oracle the batched generator in
+    /// [`crate::compose`] is tested against, bit for bit.
     pub fn repr_at(&self, features: &Matrix, i: usize) -> Vec<f32> {
         let w = self.window();
         let mut buf = vec![0.0f32; w * NUM_FEATURES];

@@ -22,7 +22,8 @@
 //! * [`trainer`] — joint training with microarchitecture sampling and
 //!   instruction-representation reuse (Section IV)
 //! * [`compose`] — program representation = sum of instruction
-//!   representations, windowed or streaming, rayon-parallel
+//!   representations, through one parallel batched block generator
+//!   (or the approximate streaming one)
 //! * [`predict`] — dot-product prediction and the paper's error metrics
 //! * [`finetune`] — representations of unseen machines with the
 //!   foundation frozen (Section V-A)
@@ -72,8 +73,7 @@ pub mod refit;
 pub mod trainer;
 
 pub use compose::{
-    program_representation, program_representation_blocked, program_representation_streaming,
-    program_representations_coalesced,
+    program_representation, program_representation_streaming, program_representations_coalesced,
 };
 pub use foundation::{ArchKind, ArchSpec, Foundation};
 pub use march_table::MarchTable;

@@ -5,14 +5,15 @@
 //! instruction — the fixed point the paper's long SGD schedule converges
 //! to. At this reproduction's scale it is cheaper and exact: one pass to
 //! accumulate the normal equations (instruction representations are
-//! generated once, in parallel), one Cholesky factorization shared by
-//! all machines.
+//! generated once, in parallel batched blocks), one Cholesky
+//! factorization shared by all machines.
 
+use crate::compose::{represent_windows, SUM_CHUNK};
 use crate::foundation::Foundation;
 use crate::march_table::MarchTable;
 use perfvec_ml::linalg::ridge_solve;
 use perfvec_ml::parallel::parallel_map;
-use perfvec_trace::{fill_window, ProgramData, NUM_FEATURES};
+use perfvec_trace::ProgramData;
 
 /// Accumulated normal equations for a linear head of width `d` with `k`
 /// right-hand sides.
@@ -73,32 +74,28 @@ impl NormalEq {
 }
 
 /// Accumulate the normal equations over every instruction of every
-/// program (chunk-parallel).
+/// program. Work items are [`SUM_CHUNK`]-instruction chunks, each
+/// accumulated in instruction order from the block generator's rows
+/// into its own [`NormalEq`]; chunks run in parallel and merge in item
+/// order, so the sums are bit-reproducible on any core count.
 pub fn accumulate_normal_equations(foundation: &Foundation, data: &[ProgramData]) -> NormalEq {
     let d = foundation.dim();
     let k = data[0].num_marches();
     let scale = foundation.target_scale;
-    let chunk = 2_048usize;
-    // Flatten (program, chunk) work items.
-    let mut items: Vec<(usize, usize, usize)> = Vec::new();
-    for (p, dset) in data.iter().enumerate() {
-        let mut lo = 0;
-        while lo < dset.len() {
-            let hi = (lo + chunk).min(dset.len());
-            items.push((p, lo, hi));
-            lo = hi;
-        }
-    }
+    // Flatten (program, chunk start) work items.
+    let items: Vec<(usize, usize)> = data
+        .iter()
+        .enumerate()
+        .flat_map(|(p, dset)| (0..dset.len()).step_by(SUM_CHUNK).map(move |lo| (p, lo)))
+        .collect();
     let partials = parallel_map(items.len(), |n| {
-        let (p, lo, hi) = items[n];
+        let (p, lo) = items[n];
         let dset = &data[p];
-        let w = foundation.window();
-        let mut buf = vec![0.0f32; w * NUM_FEATURES];
+        let hi = (lo + SUM_CHUNK).min(dset.len());
+        let rows = represent_windows(foundation, hi - lo, |j| (&dset.features, lo + j));
         let mut eq = NormalEq::zeros(d, k);
-        for i in lo..hi {
-            fill_window(&dset.features, i, foundation.context, &mut buf);
-            let (r, _) = foundation.model.forward(&buf, w);
-            eq.accumulate(&r, dset.targets.row(i), scale);
+        for (i, r) in (lo..hi).zip(rows.chunks_exact(d)) {
+            eq.accumulate(r, dset.targets.row(i), scale);
         }
         eq
     });
@@ -145,6 +142,7 @@ mod tests {
     use perfvec_ml::init::seeded_rng;
     use perfvec_ml::tensor::dot;
     use perfvec_trace::features::Matrix;
+    use perfvec_trace::NUM_FEATURES;
     use rand::Rng;
 
     fn synthetic(foundation: &Foundation, k: usize, n: usize) -> (Vec<ProgramData>, Vec<Vec<f32>>) {

@@ -27,11 +27,17 @@
 //!   upstream gradient), which a unit test asserts. The naive ablation
 //!   always runs the scalar step.
 //!
+//! A run whose training or validation loss goes non-finite stops at
+//! that epoch, keeps the best finite parameters, and records the epoch
+//! in [`TrainReport::diverged_epoch`] — a `NaN` validation loss would
+//! otherwise never beat the best one and silently freeze a stale model.
+//!
 //! Long runs snapshot-and-resume: `TrainConfig::snapshot_every` writes a
 //! [`crate::checkpoint::TrainSnapshot`] (model + table + Adam moments +
 //! RNG state) at an epoch cadence, and `TrainConfig::resume_from`
 //! restarts from one bit-identically.
 
+use crate::compose::{fill_windows, forward_windows};
 use crate::foundation::{ArchSpec, Foundation};
 use crate::march_table::MarchTable;
 use perfvec_ml::adam::Adam;
@@ -128,6 +134,11 @@ pub struct TrainReport {
     pub val_loss: Vec<f64>,
     /// Epoch whose parameters were kept (lowest validation loss).
     pub best_epoch: u32,
+    /// Epoch at which a training or validation loss went non-finite.
+    /// Training stops there and keeps the best finite parameters seen
+    /// before it (the initial ones if no epoch validated). `None` for a
+    /// run that finished every epoch.
+    pub diverged_epoch: Option<u32>,
     /// Wall-clock seconds spent in training.
     pub wall_seconds: f64,
     /// Per-gradient-step wall-time distribution in microseconds
@@ -164,11 +175,10 @@ fn build_pool(data: &[ProgramData]) -> Vec<Item> {
     pool
 }
 
-/// The per-window loss and gradient computation shared by training and
-/// validation. Returns the mean squared error over the k machines on
-/// normalized targets (`t_ij * target_scale * inv_scale[j]`); when
-/// `grads` is `Some`, accumulates model gradients into
-/// `grads[..model_len]` and table gradients into the remainder.
+/// The scalar per-window loss and gradient computation. Returns the mean
+/// squared error over the k machines on normalized targets
+/// (`t_ij * target_scale * inv_scale[j]`), accumulating model gradients
+/// into `grads[..model_len]` and table gradients into the remainder.
 #[allow(clippy::too_many_arguments)]
 fn window_pass(
     foundation: &Foundation,
@@ -178,7 +188,7 @@ fn window_pass(
     inv_scale: &[f32],
     buf: &mut [f32],
     preds: &mut [f32],
-    grads: Option<&mut [f32]>,
+    grads: &mut [f32],
     model_len: usize,
     reuse: bool,
 ) -> f64 {
@@ -188,52 +198,36 @@ fn window_pass(
     fill_window(&data.features, i, foundation.context, buf);
     let scale = foundation.target_scale;
     let targets = data.targets.row(i);
-
-    match grads {
-        // Naive: a full forward/backward per microarchitecture.
-        Some(grads) if !reuse => {
-            let mut loss = 0.0f64;
-            let inv_k = 2.0 / k as f32;
-            for j in 0..k {
-                let (r, cache) = foundation.model.forward(buf, w);
-                let pred = dot(&r, table.rep(j));
-                let err = pred - targets[j] * scale * inv_scale[j];
-                loss += (err * err) as f64;
-                let (g_model, g_table) = grads.split_at_mut(model_len);
-                axpy(inv_k * err, &r, &mut g_table[j * dim..(j + 1) * dim]);
-                let mut dr = vec![0.0f32; dim];
-                axpy(inv_k * err, table.rep(j), &mut dr);
-                foundation.model.backward(buf, w, &cache, &dr, g_model);
-            }
-            loss / k as f64
+    let mut loss = 0.0f64;
+    let inv_k = 2.0 / k as f32;
+    let (g_model, g_table) = grads.split_at_mut(model_len);
+    if reuse {
+        // Representation reuse: one forward, shared by all k machines.
+        let (r, cache) = foundation.model.forward(buf, w);
+        table.predict_all(&r, preds);
+        let mut dr = vec![0.0f32; dim];
+        for j in 0..k {
+            let err = preds[j] - targets[j] * scale * inv_scale[j];
+            loss += (err * err) as f64;
+            // dL/dM_j and the reused dL/dR contribution
+            axpy(inv_k * err, &r, &mut g_table[j * dim..(j + 1) * dim]);
+            axpy(inv_k * err, table.rep(j), &mut dr);
         }
-        // Representation reuse (or pure evaluation): one forward,
-        // shared by all k machines.
-        grads => {
+        foundation.model.backward(buf, w, &cache, &dr, g_model);
+    } else {
+        // Naive: a full forward/backward per microarchitecture.
+        for j in 0..k {
             let (r, cache) = foundation.model.forward(buf, w);
-            table.predict_all(&r, preds);
-            let mut loss = 0.0f64;
-            let inv_k = 2.0 / k as f32;
-            if let Some(grads) = grads {
-                let mut dr = vec![0.0f32; dim];
-                let (g_model, g_table) = grads.split_at_mut(model_len);
-                for j in 0..k {
-                    let err = preds[j] - targets[j] * scale * inv_scale[j];
-                    loss += (err * err) as f64;
-                    // dL/dM_j and the reused dL/dR contribution
-                    axpy(inv_k * err, &r, &mut g_table[j * dim..(j + 1) * dim]);
-                    axpy(inv_k * err, table.rep(j), &mut dr);
-                }
-                foundation.model.backward(buf, w, &cache, &dr, g_model);
-            } else {
-                for j in 0..k {
-                    let err = preds[j] - targets[j] * scale * inv_scale[j];
-                    loss += (err * err) as f64;
-                }
-            }
-            loss / k as f64
+            let pred = dot(&r, table.rep(j));
+            let err = pred - targets[j] * scale * inv_scale[j];
+            loss += (err * err) as f64;
+            axpy(inv_k * err, &r, &mut g_table[j * dim..(j + 1) * dim]);
+            let mut dr = vec![0.0f32; dim];
+            axpy(inv_k * err, table.rep(j), &mut dr);
+            foundation.model.backward(buf, w, &cache, &dr, g_model);
         }
     }
+    loss / k as f64
 }
 
 /// The batch-major twin of [`window_pass`] (reuse mode): one lane chunk
@@ -260,15 +254,12 @@ fn batched_chunk_pass(
     let dim = table.dim;
     let b = items.len();
     let scale = foundation.target_scale;
-    let mut xs = vec![0.0f32; b * w * NUM_FEATURES];
-    for (li, &(p, i)) in items.iter().enumerate() {
-        fill_window(
-            &data[p].features,
-            i,
-            foundation.context,
-            &mut xs[li * w * NUM_FEATURES..(li + 1) * w * NUM_FEATURES],
-        );
-    }
+    let mut xs = Vec::new();
+    fill_windows(
+        foundation,
+        items.iter().map(|&(p, i)| (&data[p].features, i)),
+        &mut xs,
+    );
     let (reps, cache) = foundation.model.forward_batch_cached(&xs, w, b);
     let mut douts = vec![0.0f32; b * dim];
     let mut preds = vec![0.0f32; k];
@@ -342,6 +333,7 @@ pub fn train_foundation(data: &[ProgramData], cfg: &TrainConfig) -> TrainedFound
         train_loss: Vec::new(),
         val_loss: Vec::new(),
         best_epoch: 0,
+        diverged_epoch: None,
         wall_seconds: 0.0,
         step_time_us: perfvec_obs::HistogramSummary::default(),
         steps_per_sec: 0.0,
@@ -434,7 +426,7 @@ pub fn train_foundation(data: &[ProgramData], cfg: &TrainConfig) -> TrainedFound
                         &inv_scale,
                         &mut buf,
                         &mut preds,
-                        Some(grads),
+                        grads,
                         model_len,
                         cfg.reuse,
                     )
@@ -465,12 +457,24 @@ pub fn train_foundation(data: &[ProgramData], cfg: &TrainConfig) -> TrainedFound
             step_hist.record(dt.as_micros() as u64);
             step_secs += dt.as_secs_f64();
             steps_taken += 1;
+            if !loss.is_finite() {
+                break;
+            }
         }
-        report.train_loss.push(epoch_loss / batches.max(1) as f64);
+        let train_loss = epoch_loss / batches.max(1) as f64;
+        report.train_loss.push(train_loss);
+        if !train_loss.is_finite() {
+            report.diverged_epoch = Some(epoch);
+            break;
+        }
 
         // Validation.
         let val_loss = validation_loss(&foundation, &table, data, &val_items, &inv_scale);
         report.val_loss.push(val_loss);
+        if !val_loss.is_finite() {
+            report.diverged_epoch = Some(epoch);
+            break;
+        }
         if val_loss < best_val {
             best_val = val_loss;
             best_params = params.clone();
@@ -553,6 +557,12 @@ pub fn column_scales(data: &[ProgramData], target_scale: f32) -> Vec<f32> {
 }
 
 /// Mean per-window validation loss (on normalized targets).
+///
+/// Each [`LANE_WIDTH`](perfvec_ml::parallel::LANE_WIDTH) lane chunk of
+/// `items` runs through one batched forward pass, and its per-window
+/// losses are summed in item order; the chunk sums reduce in chunk
+/// order, so the result is bit-identical to a per-item scalar loop
+/// over the same lane chunks.
 pub fn validation_loss(
     foundation: &Foundation,
     table: &MarchTable,
@@ -563,15 +573,29 @@ pub fn validation_loss(
     if items.is_empty() {
         return 0.0;
     }
-    let w = foundation.window();
     let k = table.k;
-    let (loss, _) = BatchStep::new().accumulate_items(items.len(), 0, |b, _| {
-        let (p, i) = items[b];
-        let mut buf = vec![0.0f32; w * NUM_FEATURES];
+    let dim = table.dim;
+    let scale = foundation.target_scale;
+    let (loss, _) = BatchStep::new().accumulate(items.len(), 0, |range, _| {
+        let chunk = &items[range];
+        let reps = forward_windows(
+            foundation,
+            chunk.iter().map(|&(p, i)| (&data[p].features, i)),
+            &mut Vec::new(),
+        );
         let mut preds = vec![0.0f32; k];
-        window_pass(
-            foundation, table, &data[p], i, inv_scale, &mut buf, &mut preds, None, 0, true,
-        )
+        let mut loss = 0.0f64;
+        for (r, &(p, i)) in reps.chunks_exact(dim).zip(chunk) {
+            table.predict_all(r, &mut preds);
+            let targets = data[p].targets.row(i);
+            let mut item_loss = 0.0f64;
+            for j in 0..k {
+                let err = preds[j] - targets[j] * scale * inv_scale[j];
+                item_loss += (err * err) as f64;
+            }
+            loss += item_loss / k as f64;
+        }
+        loss
     });
     loss / items.len() as f64
 }
@@ -674,7 +698,7 @@ mod tests {
             &inv_scale,
             &mut buf,
             &mut preds,
-            Some(&mut g_reuse),
+            &mut g_reuse,
             model_len,
             true,
         );
@@ -686,7 +710,7 @@ mod tests {
             &inv_scale,
             &mut buf,
             &mut preds,
-            Some(&mut g_naive),
+            &mut g_naive,
             model_len,
             false,
         );
@@ -703,6 +727,50 @@ mod tests {
         let best = trained.report.best_epoch as usize;
         let v = &trained.report.val_loss;
         assert_eq!(v.iter().cloned().fold(f64::INFINITY, f64::min), v[best]);
+    }
+
+    #[test]
+    fn diverging_run_stops_and_keeps_the_best_finite_parameters() {
+        use crate::checkpoint::encode;
+        let data = tiny_dataset();
+        let mut cfg = tiny_cfg();
+        cfg.epochs = 4;
+        cfg.clip_norm = None;
+        // Epoch 0 trains at a sane rate and validates; from epoch 1 the
+        // rate is absurd, so the loss overflows to a non-finite value.
+        cfg.schedule = StepDecay {
+            initial: 1e-3,
+            gamma: 1e30,
+            every: 1,
+        };
+        let trained = train_foundation(&data, &cfg);
+        let r = &trained.report;
+        assert_eq!(r.diverged_epoch, Some(1));
+        assert_eq!(r.best_epoch, 0);
+        assert_eq!(
+            r.train_loss.len(),
+            2,
+            "training must stop at the diverged epoch"
+        );
+        assert!(r.train_loss[0].is_finite() && r.val_loss[0].is_finite());
+        assert!(!r.train_loss[1].is_finite() || !r.val_loss[1].is_finite());
+        // The kept parameters are epoch 0's: finite, and byte-identical
+        // to those of a run that stops after epoch 0.
+        assert!(trained
+            .foundation
+            .model
+            .get_params()
+            .iter()
+            .all(|v| v.is_finite()));
+        assert!(trained.march_table.reps.iter().all(|v| v.is_finite()));
+        let mut first = cfg.clone();
+        first.epochs = 1;
+        let one = train_foundation(&data, &first);
+        assert_eq!(one.report.diverged_epoch, None);
+        assert_eq!(
+            encode(&one.foundation, cfg.arch, Some(&one.march_table)),
+            encode(&trained.foundation, cfg.arch, Some(&trained.march_table))
+        );
     }
 
     #[test]
