@@ -31,8 +31,10 @@ pub enum CheckpointError {
     /// Bytes remain after a complete checkpoint — the file is not a
     /// checkpoint (or was corrupted by concatenation/append).
     Trailing,
-    /// A model parameter or table entry is NaN or infinite: training
-    /// never produces one, and it would poison every prediction.
+    /// A model parameter or table entry is NaN or infinite, or a
+    /// snapshot's Adam moment or best parameter is (or its second
+    /// moment is negative): training never produces one, and it would
+    /// poison every prediction or every resumed step.
     NonFinite,
 }
 
@@ -357,6 +359,13 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<TrainSnapshot, CheckpointError> {
     if adam_m.len() != total || adam_v.len() != total || best_params.len() != total {
         return Err(CheckpointError::Truncated);
     }
+    // A poisoned moment would turn the first resumed step into NaN, and
+    // a negative second moment into the square root of one.
+    let finite = |v: &[f32]| v.iter().all(|x| x.is_finite());
+    let negative_v = adam_v.iter().any(|&v| v < 0.0);
+    if !finite(&adam_m) || !finite(&adam_v) || !finite(&best_params) || negative_v {
+        return Err(CheckpointError::NonFinite);
+    }
     Ok(TrainSnapshot {
         foundation,
         spec,
@@ -664,6 +673,39 @@ mod tests {
         ));
         let snap = encode_snapshot(&sample_snapshot());
         assert!(matches!(decode(&snap), Err(CheckpointError::BadHeader)));
+    }
+
+    fn assert_snapshot_non_finite(s: &TrainSnapshot, what: &str) {
+        assert_eq!(
+            decode_snapshot(&encode_snapshot(s)).err(),
+            Some(CheckpointError::NonFinite),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn snapshot_with_a_nan_first_moment_is_rejected() {
+        let mut s = sample_snapshot();
+        s.adam_m[3] = f32::NAN;
+        assert_snapshot_non_finite(&s, "adam_m");
+    }
+
+    #[test]
+    fn snapshot_with_a_nan_or_negative_second_moment_is_rejected() {
+        let mut s = sample_snapshot();
+        s.adam_v[5] = f32::NAN;
+        assert_snapshot_non_finite(&s, "adam_v NaN");
+        let mut s = sample_snapshot();
+        s.adam_v[5] = -1e-9;
+        assert_snapshot_non_finite(&s, "adam_v negative");
+    }
+
+    #[test]
+    fn snapshot_with_a_nan_best_parameter_is_rejected() {
+        let mut s = sample_snapshot();
+        let last = s.best_params.len() - 1;
+        s.best_params[last] = f32::NAN;
+        assert_snapshot_non_finite(&s, "best_params");
     }
 
     #[test]

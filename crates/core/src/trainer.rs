@@ -27,10 +27,11 @@
 //!   upstream gradient), which a unit test asserts. The naive ablation
 //!   always runs the scalar step.
 //!
-//! A run whose training or validation loss goes non-finite stops at
-//! that epoch, keeps the best finite parameters, and records the epoch
-//! in [`TrainReport::diverged_epoch`] — a `NaN` validation loss would
-//! otherwise never beat the best one and silently freeze a stale model.
+//! A run whose training or validation loss or whose gradient norm goes
+//! non-finite stops at that epoch, keeps the best finite parameters,
+//! and records the epoch in [`TrainReport::diverged_epoch`] — a `NaN`
+//! validation loss would otherwise never beat the best one and silently
+//! freeze a stale model, and a non-finite gradient is never applied.
 //!
 //! Long runs snapshot-and-resume: `TrainConfig::snapshot_every` writes a
 //! [`crate::checkpoint::TrainSnapshot`] (model + table + Adam moments +
@@ -134,7 +135,8 @@ pub struct TrainReport {
     pub val_loss: Vec<f64>,
     /// Epoch whose parameters were kept (lowest validation loss).
     pub best_epoch: u32,
-    /// Epoch at which a training or validation loss went non-finite.
+    /// Epoch at which a training or validation loss, or a gradient norm,
+    /// went non-finite.
     /// Training stops there and keeps the best finite parameters seen
     /// before it (the initial ones if no epoch validated). `None` for a
     /// run that finished every epoch.
@@ -387,6 +389,7 @@ pub fn train_foundation(data: &[ProgramData], cfg: &TrainConfig) -> TrainedFound
 
     let w = foundation.window();
     let step = BatchStep::new();
+    let mut mean_grads = vec![0.0f32; total_len];
     // The naive (no-reuse) ablation has no batched form: it exists to
     // measure the per-(window, machine) cost the paper optimizes away.
     let use_batched = cfg.batched && cfg.reuse;
@@ -399,6 +402,7 @@ pub fn train_foundation(data: &[ProgramData], cfg: &TrainConfig) -> TrainedFound
         }
         let mut epoch_loss = 0.0f64;
         let mut batches = 0usize;
+        let mut grads_diverged = false;
         for batch in epoch_items.chunks(cfg.batch_size) {
             let t_step = std::time::Instant::now();
             let (loss, grads) = if use_batched {
@@ -432,38 +436,30 @@ pub fn train_foundation(data: &[ProgramData], cfg: &TrainConfig) -> TrainedFound
                     )
                 })
             };
-            // Mean over the batch, then optional global-norm clipping.
-            let inv = 1.0 / batch.len() as f32;
-            let mut mean_grads: Vec<f32> = grads.iter().map(|g| g * inv).collect();
-            if let Some(max_norm) = cfg.clip_norm {
-                let norm = mean_grads
-                    .iter()
-                    .map(|g| (*g as f64) * (*g as f64))
-                    .sum::<f64>()
-                    .sqrt() as f32;
-                if norm > max_norm {
-                    let s = max_norm / norm;
-                    for g in &mut mean_grads {
-                        *g *= s;
-                    }
-                }
+            let grads_finite =
+                mean_clipped_grads(&grads, batch.len(), cfg.clip_norm, &mut mean_grads);
+            if grads_finite {
+                opt.step(&mut params, &mean_grads, lr);
+                foundation.model.set_params(&params[..model_len]);
+                table.reps.copy_from_slice(&params[model_len..]);
             }
-            opt.step(&mut params, &mean_grads, lr);
-            foundation.model.set_params(&params[..model_len]);
-            table.reps.copy_from_slice(&params[model_len..]);
             epoch_loss += loss / batch.len() as f64;
             batches += 1;
             let dt = t_step.elapsed();
             step_hist.record(dt.as_micros() as u64);
             step_secs += dt.as_secs_f64();
             steps_taken += 1;
+            if !grads_finite {
+                grads_diverged = true;
+                break;
+            }
             if !loss.is_finite() {
                 break;
             }
         }
         let train_loss = epoch_loss / batches.max(1) as f64;
         report.train_loss.push(train_loss);
-        if !train_loss.is_finite() {
+        if grads_diverged || !train_loss.is_finite() {
             report.diverged_epoch = Some(epoch);
             break;
         }
@@ -535,6 +531,37 @@ pub fn train_foundation(data: &[ProgramData], cfg: &TrainConfig) -> TrainedFound
         march_table: table,
         report,
     }
+}
+
+/// Scale a step's summed gradients `grads` to the mean over `batch`
+/// windows into `out`, then clip them to global norm `clip` if given.
+///
+/// Returns `false` when the gradient norm is not finite; `out` must then
+/// not reach the optimizer. A NaN norm never compares above the clip
+/// bound, so without this check a NaN or infinite gradient would be
+/// applied unclipped and only show up in the next step's loss.
+fn mean_clipped_grads(grads: &[f32], batch: usize, clip: Option<f32>, out: &mut [f32]) -> bool {
+    let inv = 1.0 / batch as f32;
+    for (o, g) in out.iter_mut().zip(grads) {
+        *o = g * inv;
+    }
+    let norm = out
+        .iter()
+        .map(|g| (*g as f64) * (*g as f64))
+        .sum::<f64>()
+        .sqrt() as f32;
+    if !norm.is_finite() {
+        return false;
+    }
+    if let Some(max_norm) = clip {
+        if norm > max_norm {
+            let s = max_norm / norm;
+            for g in out.iter_mut() {
+                *g *= s;
+            }
+        }
+    }
+    true
 }
 
 /// Mean magnitude of each target column over the dataset (after
@@ -717,6 +744,86 @@ mod tests {
         assert!((l1 - l2).abs() < 1e-9 * (1.0 + l1.abs()));
         for (a, b) in g_reuse.iter().zip(&g_naive) {
             assert!((a - b).abs() < 1e-4 * (1.0 + a.abs()), "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn gradients_are_averaged_and_clipped() {
+        let mut out = vec![0.0f32; 3];
+        assert!(mean_clipped_grads(&[2.0, 4.0, -8.0], 2, None, &mut out));
+        assert_eq!(out, [1.0, 2.0, -4.0]);
+        // Norm sqrt(21) > 1: scaled down to unit norm.
+        assert!(mean_clipped_grads(
+            &[2.0, 4.0, -8.0],
+            2,
+            Some(1.0),
+            &mut out
+        ));
+        let norm: f32 = out.iter().map(|g| g * g).sum::<f32>().sqrt();
+        assert!((norm - 1.0).abs() < 1e-6, "clipped norm {norm}");
+        // Under the bound: untouched.
+        assert!(mean_clipped_grads(
+            &[2.0, 4.0, -8.0],
+            2,
+            Some(10.0),
+            &mut out
+        ));
+        assert_eq!(out, [1.0, 2.0, -4.0]);
+    }
+
+    #[test]
+    fn nan_and_infinite_gradients_never_pass_the_check() {
+        let mut out = vec![0.0f32; 3];
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for clip in [None, Some(5.0)] {
+                assert!(
+                    !mean_clipped_grads(&[0.5, bad, -0.25], 4, clip, &mut out),
+                    "{bad} with clip {clip:?}"
+                );
+            }
+        }
+        // Finite entries whose norm overflows f32 are caught too.
+        assert!(!mean_clipped_grads(
+            &[f32::MAX, f32::MAX],
+            1,
+            Some(5.0),
+            &mut out[..2]
+        ));
+    }
+
+    /// A top-level 32-window step of an LSTM-2-32 runs as two lane
+    /// halves on two threads; inside a parallel region the same step
+    /// stays on one thread. Both must give byte-identical checkpoints.
+    #[test]
+    fn two_thread_and_one_thread_steps_produce_byte_identical_checkpoints() {
+        use crate::checkpoint::encode;
+        use crate::foundation::ArchKind;
+        use perfvec_ml::parallel::parallel_map;
+        let data = tiny_dataset();
+        for kind in [ArchKind::Lstm, ArchKind::BiLstm] {
+            let cfg = TrainConfig {
+                arch: ArchSpec {
+                    kind,
+                    layers: 2,
+                    dim: 32,
+                },
+                context: 12,
+                epochs: 1,
+                batch_size: 32,
+                windows_per_epoch: 96,
+                val_windows: 64,
+                ..TrainConfig::default()
+            };
+            let top = train_foundation(&data, &cfg);
+            let nested = parallel_map(2, |i| (i == 0).then(|| train_foundation(&data, &cfg)))
+                .swap_remove(0)
+                .expect("item 0 trains");
+            assert_eq!(top.report.train_loss, nested.report.train_loss);
+            assert_eq!(
+                encode(&top.foundation, cfg.arch, Some(&top.march_table)),
+                encode(&nested.foundation, cfg.arch, Some(&nested.march_table)),
+                "{kind:?}: two-thread and one-thread checkpoints differ"
+            );
         }
     }
 

@@ -120,7 +120,8 @@ impl GruLayerShape {
         cache
     }
 
-    /// Full-sequence backward (mirrors [`crate::lstm::LstmLayerShape::backward`]).
+    /// Full-sequence backward (mirrors [`crate::lstm::LstmLayerShape::backward`];
+    /// input gradients go to `dxs` only when given).
     #[allow(clippy::too_many_arguments)]
     pub fn backward(
         &self,
@@ -130,7 +131,7 @@ impl GruLayerShape {
         cache: &GruLayerCache,
         dh: &mut [f32],
         grads: &mut [f32],
-        dxs: &mut [f32],
+        mut dxs: Option<&mut [f32]>,
     ) {
         let h = self.hidden;
         let i_dim = self.in_dim;
@@ -182,13 +183,15 @@ impl GruLayerShape {
             for (g, &d) in g_b.iter_mut().zip(&dz_pre) {
                 *g += d;
             }
-            gemv_t_acc(
-                w_ih,
-                &dz_pre,
-                &mut dxs[t * i_dim..(t + 1) * i_dim],
-                3 * h,
-                i_dim,
-            );
+            if let Some(dxs) = dxs.as_deref_mut() {
+                gemv_t_acc(
+                    w_ih,
+                    &dz_pre,
+                    &mut dxs[t * i_dim..(t + 1) * i_dim],
+                    3 * h,
+                    i_dim,
+                );
+            }
             // recurrent weight grads + recurrent dh contributions
             outer_acc(g_hr, &dz_pre[..h], h_prev);
             outer_acc(g_hz, &dz_pre[h..2 * h], h_prev);
@@ -332,7 +335,7 @@ impl GruLayerShape {
         cache: &GruLayerBatchCache,
         dh: &mut [f32],
         grads: &mut [f32],
-        dxs: &mut [f32],
+        mut dxs: Option<&mut [f32]>,
     ) {
         let h = self.hidden;
         let i_dim = self.in_dim;
@@ -394,14 +397,16 @@ impl GruLayerShape {
                 ));
             }
             let dz = &dzs[t * 3 * h * batch..(t + 1) * 3 * h * batch];
-            gemm_bm_t_acc(
-                w_ih,
-                dz,
-                &mut dxs[t * i_dim * batch..(t + 1) * i_dim * batch],
-                3 * h,
-                i_dim,
-                batch,
-            );
+            if let Some(dxs) = dxs.as_deref_mut() {
+                gemm_bm_t_acc(
+                    w_ih,
+                    dz,
+                    &mut dxs[t * i_dim * batch..(t + 1) * i_dim * batch],
+                    3 * h,
+                    i_dim,
+                    batch,
+                );
+            }
             // dh_rec feeds step t-1, so the recurrent products are dead
             // work at t == 0 (the scalar backward computes them anyway,
             // but never reads them — skipping is parity-safe).
@@ -820,7 +825,8 @@ impl Gru {
             } else {
                 BatchInput::Bm(&cache.layer_caches[l - 1].hs)
             };
-            let mut dxs = vec![0.0f32; t * shape.in_dim * batch];
+            // The bottom layer's input gradient has no reader.
+            let mut dxs = vec![0.0f32; if l > 0 { t * shape.in_dim * batch } else { 0 }];
             let start = ends[l] - shape.param_len();
             shape.backward_batch(
                 self.layer_param(l),
@@ -830,7 +836,7 @@ impl Gru {
                 &cache.layer_caches[l],
                 &mut dh,
                 &mut grads[start..ends[l]],
-                &mut dxs,
+                (l > 0).then_some(dxs.as_mut_slice()),
             );
             dh = dxs;
         }
@@ -856,7 +862,7 @@ impl Gru {
             } else {
                 &cache.layer_caches[l - 1].hs
             };
-            let mut dxs = vec![0.0f32; t * shape.in_dim];
+            let mut dxs = vec![0.0f32; if l > 0 { t * shape.in_dim } else { 0 }];
             let start = ends[l] - shape.param_len();
             shape.backward(
                 self.layer_param(l),
@@ -865,7 +871,7 @@ impl Gru {
                 &cache.layer_caches[l],
                 &mut dh,
                 &mut grads[start..ends[l]],
-                &mut dxs,
+                (l > 0).then_some(dxs.as_mut_slice()),
             );
             dh = dxs;
         }

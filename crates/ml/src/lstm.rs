@@ -5,14 +5,17 @@
 //! streaming step (fast trace-wide representation generation).
 
 use crate::init::seeded_rng;
+use crate::parallel::lane_split;
+use std::panic::resume_unwind;
+use std::sync::{Barrier, OnceLock};
 // The fast activations are deliberate: every path (scalar step,
 // full-sequence forward, batched forward, backward's cell-tanh
 // recomputation) must call the *same* straight-line-arithmetic
 // functions so batched inference stays bit-identical to scalar
 // inference while its inner loops vectorize (see `tensor::tanh_apx`).
 use crate::tensor::{
-    for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc, outer_acc, sigmoid_apx,
-    tanh_apx, BatchInput,
+    for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc, outer_acc, outer_acc_seq,
+    sigmoid_apx, tanh_apx,
 };
 
 /// Shape of one LSTM layer with input size `in_dim` and hidden size `h`.
@@ -130,7 +133,8 @@ impl LstmLayerShape {
     ///
     /// `dh` is `T x h`: the gradient w.r.t. each step's hidden output
     /// injected from above (consumed in place). Parameter gradients are
-    /// accumulated into `grads`; input gradients into `dxs` (`T x in`).
+    /// accumulated into `grads`; input gradients into `dxs` (`T x in`)
+    /// when given (the bottom layer's input gradient has no reader).
     #[allow(clippy::too_many_arguments)]
     pub fn backward(
         &self,
@@ -140,7 +144,7 @@ impl LstmLayerShape {
         cache: &LstmLayerCache,
         dh: &mut [f32],
         grads: &mut [f32],
-        dxs: &mut [f32],
+        mut dxs: Option<&mut [f32]>,
     ) {
         let h = self.hidden;
         let i_dim = self.in_dim;
@@ -196,13 +200,15 @@ impl LstmLayerShape {
             for (g, &d) in g_b.iter_mut().zip(&dz) {
                 *g += d;
             }
-            gemv_t_acc(
-                w_ih,
-                &dz,
-                &mut dxs[t * i_dim..(t + 1) * i_dim],
-                4 * h,
-                i_dim,
-            );
+            if let Some(dxs) = dxs.as_deref_mut() {
+                gemv_t_acc(
+                    w_ih,
+                    &dz,
+                    &mut dxs[t * i_dim..(t + 1) * i_dim],
+                    4 * h,
+                    i_dim,
+                );
+            }
             dh_rec.fill(0.0);
             if t > 0 {
                 outer_acc(g_hh, &dz, h_prev);
@@ -326,10 +332,21 @@ pub struct LstmLayerBatchCache {
     pub hs: Vec<f32>,
 }
 
+/// The activations of one lane part of a batched pass: lanes
+/// `start..start + batch` of the caller's batch, laid out exactly as a
+/// standalone batch of those lanes.
+#[derive(Debug, Clone)]
+struct LanePart {
+    start: usize,
+    batch: usize,
+    layers: Vec<LstmLayerBatchCache>,
+}
+
 /// Forward cache for [`Lstm::forward_batch_cached`].
 #[derive(Debug, Clone)]
 pub struct LstmBatchCache {
-    layer_caches: Vec<LstmLayerBatchCache>,
+    /// One lane part, or two when the pass ran as two lane halves.
+    parts: Vec<LanePart>,
     t_steps: usize,
     batch: usize,
 }
@@ -344,41 +361,76 @@ impl LstmBatchCache {
     pub fn batch(&self) -> usize {
         self.batch
     }
+
+    /// Lane parts the forward pass ran as: 2 when it ran as two lane
+    /// halves on two threads (see [`lane_split`]), else 1.
+    pub fn lane_parts(&self) -> usize {
+        self.parts.len()
+    }
+}
+
+/// What one lane part's delta recursion leaves for the parameter
+/// replay, indexed by layer: the pre-activation deltas (`T x 4h x batch`)
+/// and the hidden states, sequence-major (`batch x T x h`).
+struct PartDeltas {
+    dz: Vec<Vec<f32>>,
+    hs: Vec<Vec<f32>>,
+}
+
+/// One thread's share of a layer's parameter gradients: gate rows
+/// `first..first + b.len()` of `W_ih`, `W_hh` and `b`.
+struct GradRows<'a> {
+    first: usize,
+    ih: &'a mut [f32],
+    hh: &'a mut [f32],
+    b: &'a mut [f32],
 }
 
 impl LstmLayerShape {
-    /// Batch-major full-sequence backward over a [`LstmLayerBatchCache`]
-    /// (the lockstep mirror of [`LstmLayerShape::backward`]).
+    /// Split a layer's gradient buffer into gate rows `..mid` and `mid..`.
+    fn grad_rows<'a>(&self, g: &'a mut [f32], mid: usize) -> (GradRows<'a>, GradRows<'a>) {
+        let (ih, hh, b) = self.split_mut(g);
+        let (ih0, ih1) = ih.split_at_mut(mid * self.in_dim);
+        let (hh0, hh1) = hh.split_at_mut(mid * self.hidden);
+        let (b0, b1) = b.split_at_mut(mid);
+        (
+            GradRows {
+                first: 0,
+                ih: ih0,
+                hh: hh0,
+                b: b0,
+            },
+            GradRows {
+                first: mid,
+                ih: ih1,
+                hh: hh1,
+                b: b1,
+            },
+        )
+    }
+
+    /// Batch-major delta recursion over a [`LstmLayerBatchCache`] (the
+    /// lockstep mirror of the recursion in [`LstmLayerShape::backward`]).
     ///
-    /// `dh` is `T x h x batch` (consumed in place); input gradients go
-    /// to `dxs` (`T x in x batch`). Lane deltas follow the scalar
-    /// operation sequence exactly, and parameter gradients are
-    /// accumulated *after* the timestep recursion in the scalar path's
-    /// order — sequence-ascending, timestep-descending, through the
-    /// same [`outer_acc`] — so the accumulated `grads` are bit-identical
-    /// to running the scalar backward per sequence in batch order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_batch(
+    /// `dh` is `T x h x batch` (consumed in place); input gradients are
+    /// accumulated into `dxs` (`T x in x batch`) when given. Returns
+    /// every timestep's pre-activation deltas (`T x 4h x batch`) for
+    /// [`LstmLayerShape::replay_rows`]. Lane deltas follow the scalar
+    /// operation sequence exactly.
+    fn deltas_batch(
         &self,
         w: &[f32],
-        x: &BatchInput<'_>,
         t_steps: usize,
         batch: usize,
         cache: &LstmLayerBatchCache,
         dh: &mut [f32],
-        grads: &mut [f32],
-        dxs: &mut [f32],
-    ) {
+        mut dxs: Option<&mut [f32]>,
+    ) -> Vec<f32> {
         let h = self.hidden;
         let i_dim = self.in_dim;
         let (w_ih, w_hh, _) = self.split(w);
-        let (g_ih, rest) = grads.split_at_mut(4 * h * i_dim);
-        let (g_hh, g_b) = rest.split_at_mut(4 * h * h);
-
         let mut dc_next = vec![0.0f32; h * batch];
         let mut dh_rec = vec![0.0f32; h * batch];
-        // All timesteps' pre-activation deltas, batch-major, kept so the
-        // parameter accumulation below can run in canonical order.
         let mut dzs = vec![0.0f32; t_steps * 4 * h * batch];
         let zero_row = vec![0.0f32; batch];
         for t in (0..t_steps).rev() {
@@ -423,44 +475,72 @@ impl LstmLayerShape {
                     &mut dzo[s..s + LW],
                 ));
             }
-            gemm_bm_t_acc(
-                w_ih,
-                dz,
-                &mut dxs[t * i_dim * batch..(t + 1) * i_dim * batch],
-                4 * h,
-                i_dim,
-                batch,
-            );
+            if let Some(dxs) = dxs.as_deref_mut() {
+                gemm_bm_t_acc(
+                    w_ih,
+                    dz,
+                    &mut dxs[t * i_dim * batch..(t + 1) * i_dim * batch],
+                    4 * h,
+                    i_dim,
+                    batch,
+                );
+            }
             dh_rec.fill(0.0);
             if t > 0 {
                 gemm_bm_t_acc(w_hh, dz, &mut dh_rec, 4 * h, h, batch);
             }
         }
-        // Canonical parameter accumulation: per sequence (ascending),
-        // per timestep (descending), exactly the scalar path's rank-1
-        // updates and bias adds.
-        let mut dz_s = vec![0.0f32; 4 * h];
-        let mut x_s = vec![0.0f32; i_dim];
-        let mut hp_s = vec![0.0f32; h];
+        dzs
+    }
+
+    /// Accumulate one lane part's parameter gradients for the gate rows
+    /// of `g`, given the part's deltas from
+    /// [`LstmLayerShape::deltas_batch`], its layer inputs `xs` and its
+    /// hidden states `hs` (both sequence-major, `batch x T x dim`): per
+    /// sequence (ascending), per timestep (descending), exactly the
+    /// scalar path's rank-1 updates ([`outer_acc`] order, zero-skip
+    /// included, replayed by [`outer_acc_seq`]) and bias adds.
+    ///
+    /// Every gradient entry is its own accumulation chain, so replaying
+    /// a subset of the rows, or the lane parts one after the other,
+    /// leaves each entry bit-identical to the scalar backward run once
+    /// per sequence in batch order.
+    fn replay_rows(
+        &self,
+        xs: &[f32],
+        hs: &[f32],
+        t_steps: usize,
+        batch: usize,
+        dzs: &[f32],
+        g: &mut GradRows<'_>,
+    ) {
+        let (h, i_dim) = (self.hidden, self.in_dim);
+        // Update (s, t) reads delta rows at `t * 4h * batch + r * batch + s`.
+        let dz_at = |s: usize, t: usize| (t * 4 * h + g.first) * batch + s;
+        let mut ih_items = Vec::with_capacity(batch * t_steps);
+        let mut hh_items = Vec::with_capacity(batch * t_steps);
         for s in 0..batch {
             for t in (0..t_steps).rev() {
-                let dz = &dzs[t * 4 * h * batch..(t + 1) * 4 * h * batch];
-                for (r, d) in dz_s.iter_mut().enumerate() {
-                    *d = dz[r * batch + s];
-                }
-                x.gather(t, s, t_steps, batch, &mut x_s);
-                outer_acc(g_ih, &dz_s, &x_s);
-                for (g, &d) in g_b.iter_mut().zip(&dz_s) {
-                    *g += d;
-                }
+                ih_items.push((dz_at(s, t), (s * t_steps + t) * i_dim));
                 if t > 0 {
-                    let hs = &cache.hs[(t - 1) * h * batch..t * h * batch];
-                    for (k, hp) in hp_s.iter_mut().enumerate() {
-                        *hp = hs[k * batch + s];
-                    }
-                    outer_acc(g_hh, &dz_s, &hp_s);
+                    hh_items.push((dz_at(s, t), (s * t_steps + t - 1) * h));
                 }
             }
+        }
+        outer_acc_seq(g.ih, i_dim, &ih_items, dzs, batch, xs);
+        outer_acc_seq(g.hh, h, &hh_items, dzs, batch, hs);
+        // Eight bias rows per pass keep eight independent chains busy.
+        for (r8, gb) in g.b.chunks_mut(8).enumerate() {
+            let mut acc = [0.0f32; 8];
+            let acc = &mut acc[..gb.len()];
+            acc.copy_from_slice(gb);
+            for &(a, _) in &ih_items {
+                let a = a + r8 * 8 * batch;
+                for (ri, v) in acc.iter_mut().enumerate() {
+                    *v += dzs[a + ri * batch];
+                }
+            }
+            gb.copy_from_slice(acc);
         }
     }
 }
@@ -674,22 +754,68 @@ impl Lstm {
         out
     }
 
+    /// Forward multiply-adds of a batched pass (the work [`lane_split`]
+    /// weighs).
+    fn forward_macs(&self, t_steps: usize, batch: usize) -> usize {
+        let per_step: usize = self
+            .layers
+            .iter()
+            .map(|l| 4 * l.hidden * (l.in_dim + l.hidden))
+            .sum();
+        batch * t_steps * per_step
+    }
+
     /// Batched full-sequence forward that also retains every layer's
     /// batch-major activations for [`Lstm::backward_batch`].
     ///
     /// Same layouts and — per sequence — the same arithmetic order as
     /// [`Lstm::forward_batch`], so each output (and every cached
     /// activation) is bit-identical to an independent [`Lstm::forward`]
-    /// call on that sequence.
+    /// call on that sequence. When [`lane_split`] says so, the two lane
+    /// halves run on two threads; lanes never interact, so the split
+    /// changes no result.
     pub fn forward_batch_cached(
         &self,
         xs: &[f32],
         t_steps: usize,
         batch: usize,
     ) -> (Vec<f32>, LstmBatchCache) {
-        let in_dim = self.in_dim();
-        debug_assert_eq!(xs.len(), batch * t_steps * in_dim);
+        assert_eq!(xs.len(), batch * t_steps * self.in_dim());
         assert!(batch >= 1);
+        let parts = match lane_split(batch, self.forward_macs(t_steps, batch)) {
+            None => vec![self.forward_part(xs, t_steps, 0, batch)],
+            Some(mid) => std::thread::scope(|sc| {
+                let hi = sc.spawn(|| self.forward_part(xs, t_steps, mid, batch - mid));
+                let lo = self.forward_part(xs, t_steps, 0, mid);
+                vec![lo, hi.join().unwrap_or_else(|e| resume_unwind(e))]
+            }),
+        };
+        let d = self.out_dim();
+        let top = self.layers.len() - 1;
+        let mut out = vec![0.0f32; batch * d];
+        for p in &parts {
+            let top_hs = &p.layers[top].hs[(t_steps - 1) * d * p.batch..];
+            for s in 0..p.batch {
+                for k in 0..d {
+                    out[(p.start + s) * d + k] = top_hs[k * p.batch + s];
+                }
+            }
+        }
+        (
+            out,
+            LstmBatchCache {
+                parts,
+                t_steps,
+                batch,
+            },
+        )
+    }
+
+    /// The cached forward of lanes `start..start + batch` of the
+    /// sequence-major block `xs`.
+    fn forward_part(&self, xs: &[f32], t_steps: usize, start: usize, batch: usize) -> LanePart {
+        let in_dim = self.in_dim();
+        let xs = &xs[start * t_steps * in_dim..(start + batch) * t_steps * in_dim];
         let mut layer_caches: Vec<LstmLayerBatchCache> = self
             .layers
             .iter()
@@ -772,23 +898,11 @@ impl Lstm {
                 }
             }
         }
-        let d = self.out_dim();
-        let top = &layer_caches[self.layers.len() - 1];
-        let top_hs = &top.hs[(t_steps - 1) * d * batch..t_steps * d * batch];
-        let mut out = vec![0.0f32; batch * d];
-        for s in 0..batch {
-            for k in 0..d {
-                out[s * d + k] = top_hs[k * batch + s];
-            }
+        LanePart {
+            start,
+            batch,
+            layers: layer_caches,
         }
-        (
-            out,
-            LstmBatchCache {
-                layer_caches,
-                t_steps,
-                batch,
-            },
-        )
     }
 
     /// Batch-major BPTT from per-sequence gradients `douts`
@@ -797,7 +911,13 @@ impl Lstm {
     ///
     /// The accumulated gradients are bit-identical to running the
     /// scalar [`Lstm::backward`] once per sequence, in batch order,
-    /// into the same buffer (see [`LstmLayerShape::backward_batch`]).
+    /// into the same buffer. Each lane part runs its delta recursion
+    /// through every layer; then the parameter gradients are replayed
+    /// in the scalar order ([`LstmLayerShape::replay_rows`]). A forward
+    /// pass that ran as two lane halves runs its backward on the same
+    /// two threads: each recurses through its own half, and after one
+    /// barrier each replays half of every layer's gate rows over both
+    /// halves.
     pub fn backward_batch(
         &self,
         xs: &[f32],
@@ -806,10 +926,45 @@ impl Lstm {
         grads: &mut [f32],
     ) {
         let t = cache.t_steps;
-        let batch = cache.batch;
-        let top = self.layers.len() - 1;
-        let h_top = self.layers[top].hidden;
-        debug_assert_eq!(douts.len(), batch * h_top);
+        // Checked before any thread starts: a panic inside one half
+        // would leave the other waiting at the barrier.
+        assert_eq!(xs.len(), cache.batch * t * self.in_dim());
+        assert_eq!(douts.len(), cache.batch * self.out_dim());
+        assert_eq!(grads.len(), self.params.len());
+        match &cache.parts[..] {
+            [part] => {
+                let deltas = self.part_deltas(part, t, douts);
+                let (mut rows, _) = self.layer_grad_rows(grads, false);
+                self.replay_parts(xs, cache, &[&deltas], &mut rows);
+            }
+            [lo, hi] => {
+                let (mut rows_lo, mut rows_hi) = self.layer_grad_rows(grads, true);
+                let (dz_lo, dz_hi) = (OnceLock::new(), OnceLock::new());
+                let barrier = Barrier::new(2);
+                let half =
+                    |part: &LanePart, mine: &OnceLock<PartDeltas>, rows: &mut [GradRows<'_>]| {
+                        let _ = mine.set(self.part_deltas(part, t, douts));
+                        barrier.wait();
+                        let both = [&dz_lo, &dz_hi].map(|d| d.get().expect("both halves recursed"));
+                        self.replay_parts(xs, cache, &both, rows);
+                    };
+                std::thread::scope(|sc| {
+                    let helper = sc.spawn(|| half(hi, &dz_hi, &mut rows_hi));
+                    half(lo, &dz_lo, &mut rows_lo);
+                    helper.join().unwrap_or_else(|e| resume_unwind(e));
+                });
+            }
+            _ => unreachable!("a batched pass runs as one or two lane parts"),
+        }
+    }
+
+    /// The delta recursion of one lane part through every layer. The
+    /// bottom layer's input gradient is never computed (no caller reads
+    /// it).
+    fn part_deltas(&self, part: &LanePart, t: usize, douts: &[f32]) -> PartDeltas {
+        let batch = part.batch;
+        let h_top = self.out_dim();
+        let douts = &douts[part.start * h_top..(part.start + batch) * h_top];
         // dh for the top layer, batch-major: only the last step receives
         // the injected gradient.
         let mut dh = vec![0.0f32; t * h_top * batch];
@@ -819,32 +974,86 @@ impl Lstm {
                 last[k * batch + s] = douts[s * h_top + k];
             }
         }
-        let mut grad_off_ends: Vec<usize> = Vec::with_capacity(self.layers.len());
-        let mut acc = 0;
-        for s in &self.layers {
-            acc += s.param_len();
-            grad_off_ends.push(acc);
-        }
+        let mut dz = vec![Vec::new(); self.layers.len()];
         for l in (0..self.layers.len()).rev() {
             let shape = self.layers[l];
-            let x = if l == 0 {
-                BatchInput::Seq(xs)
-            } else {
-                BatchInput::Bm(&cache.layer_caches[l - 1].hs)
-            };
-            let mut dxs = vec![0.0f32; t * shape.in_dim * batch];
-            let g_start = grad_off_ends[l] - shape.param_len();
-            shape.backward_batch(
+            let mut dxs = vec![0.0f32; if l > 0 { t * shape.in_dim * batch } else { 0 }];
+            dz[l] = shape.deltas_batch(
                 self.layer_param(l),
-                &x,
                 t,
                 batch,
-                &cache.layer_caches[l],
+                &part.layers[l],
                 &mut dh,
-                &mut grads[g_start..grad_off_ends[l]],
-                &mut dxs,
+                (l > 0).then_some(dxs.as_mut_slice()),
             );
             dh = dxs;
+        }
+        // The replay reads each (sequence, timestep) hidden vector whole.
+        let hs = part
+            .layers
+            .iter()
+            .zip(&self.layers)
+            .map(|(c, shape)| {
+                let h = shape.hidden;
+                let mut seq = vec![0.0f32; batch * t * h];
+                for ti in 0..t {
+                    let bm = &c.hs[ti * h * batch..(ti + 1) * h * batch];
+                    for s in 0..batch {
+                        for (k, v) in seq[(s * t + ti) * h..(s * t + ti + 1) * h]
+                            .iter_mut()
+                            .enumerate()
+                        {
+                            *v = bm[k * batch + s];
+                        }
+                    }
+                }
+                seq
+            })
+            .collect();
+        PartDeltas { dz, hs }
+    }
+
+    /// Every layer's gradient buffer, split at half its gate rows when
+    /// `split` (else the second share of each layer is empty).
+    fn layer_grad_rows<'a>(
+        &self,
+        grads: &'a mut [f32],
+        split: bool,
+    ) -> (Vec<GradRows<'a>>, Vec<GradRows<'a>>) {
+        let (mut lo, mut hi) = (Vec::new(), Vec::new());
+        let mut rest = grads;
+        for shape in &self.layers {
+            let (g, tail) = rest.split_at_mut(shape.param_len());
+            rest = tail;
+            let rows = 4 * shape.hidden;
+            let (a, b) = shape.grad_rows(g, if split { rows / 2 } else { rows });
+            lo.push(a);
+            hi.push(b);
+        }
+        (lo, hi)
+    }
+
+    /// Replay every layer's parameter gradients for the gate rows in
+    /// `rows` (one share per layer) over the lane parts in lane order;
+    /// `deltas[p]` is part `p`'s [`Lstm::part_deltas`].
+    fn replay_parts(
+        &self,
+        xs: &[f32],
+        cache: &LstmBatchCache,
+        deltas: &[&PartDeltas],
+        rows: &mut [GradRows<'_>],
+    ) {
+        let t = cache.t_steps;
+        let in_dim = self.in_dim();
+        for (l, (shape, g)) in self.layers.iter().zip(rows.iter_mut()).enumerate() {
+            for (p, d) in cache.parts.iter().zip(deltas) {
+                let x: &[f32] = if l == 0 {
+                    &xs[p.start * t * in_dim..(p.start + p.batch) * t * in_dim]
+                } else {
+                    &d.hs[l - 1]
+                };
+                shape.replay_rows(x, &d.hs[l], t, p.batch, &d.dz[l], g);
+            }
         }
     }
 
@@ -872,7 +1081,8 @@ impl Lstm {
             } else {
                 &cache.layer_caches[l - 1].hs
             };
-            let mut dxs = vec![0.0f32; t * shape.in_dim];
+            // The bottom layer's input gradient has no reader.
+            let mut dxs = vec![0.0f32; if l > 0 { t * shape.in_dim } else { 0 }];
             let g_start = grad_off_ends[l] - shape.param_len();
             shape.backward(
                 self.layer_param(l),
@@ -881,7 +1091,7 @@ impl Lstm {
                 &cache.layer_caches[l],
                 &mut dh,
                 &mut grads[g_start..grad_off_ends[l]],
-                &mut dxs,
+                (l > 0).then_some(dxs.as_mut_slice()),
             );
             dh = dxs; // becomes the injected dh for the layer below
         }

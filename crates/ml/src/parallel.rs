@@ -11,6 +11,15 @@
 //! batch-major step implementations (which share the chunking) produce
 //! byte-identical checkpoints.
 //!
+//! A step of one chunk (the default 32-window batch) would leave every
+//! core but one idle, so a chunk that runs at top level is itself split
+//! ([`lane_split`]): the LSTM runs its forward pass and its delta
+//! recursion as two lane halves on two threads, then the two threads
+//! replay the parameter gradients split by gate rows, each row in the
+//! canonical order. Neither split moves a floating-point operation to
+//! another accumulation chain, so results stay bit-identical to the
+//! one-thread pass.
+//!
 //! [`BatchStep`] supersedes the old per-item-closure `batch_gradients`:
 //! consumers either hand it a per-item closure
 //! ([`BatchStep::accumulate_items`], the scalar path) or a per-chunk
@@ -18,20 +27,49 @@
 //! `forward_batch`/`backward_batch` pair per lane chunk.
 
 use rayon::prelude::*;
+use std::sync::OnceLock;
 
 pub use rayon::in_parallel_worker;
 
 /// Canonical lane-chunk width for gradient steps.
 ///
 /// Thirty-two lanes is the batch-major kernels' widest SIMD block
-/// (`tensor::lane_block::<32>`), so a default 32-window batch runs as
+/// (see `tensor::gemm_bm_acc`), so a default 32-window batch runs as
 /// **one** `forward_batch`/`backward_batch` pair at full vector width
 /// (measured ~25% faster per step than 8-lane chunking on one core).
 /// Batches larger than the lane width split into 32-lane chunks that
-/// fan out across cores — thread scaling comes from raising the batch
-/// size, never from changing the chunk tree, which depends only on
-/// this constant.
+/// fan out across cores, and a chunk at top level splits into two lane
+/// halves ([`lane_split`]); the chunk tree depends only on this
+/// constant.
 pub const LANE_WIDTH: usize = 32;
+
+/// Forward multiply-adds a lane chunk must do before [`lane_split`]
+/// runs it on two threads: below this, thread start-up (tens of
+/// microseconds per pass) eats the gain, as for the small models the
+/// tests train.
+pub const SPLIT_MIN_MACS: usize = 1 << 20;
+
+/// Cores this process may run on (read once).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|c| c.get())
+            .unwrap_or(1)
+    })
+}
+
+/// Whether a batched recurrent pass over `batch` lanes that does `macs`
+/// forward multiply-adds runs as two lane halves on two threads, and
+/// where: `Some(mid)` runs lanes `..mid` and `mid..` apart. It splits
+/// only a chunk of at least [`LANE_WIDTH`] lanes, at top level (inside
+/// a parallel region each chunk already has its core), on a machine
+/// with two or more cores, when `macs` clears [`SPLIT_MIN_MACS`].
+pub fn lane_split(batch: usize, macs: usize) -> Option<usize> {
+    let split =
+        batch >= LANE_WIDTH && macs >= SPLIT_MIN_MACS && !in_parallel_worker() && cores() >= 2;
+    split.then_some(batch / 2)
+}
 
 /// One deterministic gradient step over a batch of items.
 #[derive(Debug, Clone, Copy)]
@@ -211,6 +249,25 @@ mod tests {
         assert_eq!(l3, 30.0);
         // Integer-valued sums are exact at any tree shape.
         assert_eq!(g8, g3);
+    }
+
+    #[test]
+    fn lane_split_needs_a_full_chunk_enough_work_and_top_level() {
+        let big = SPLIT_MIN_MACS;
+        assert_eq!(lane_split(LANE_WIDTH - 1, big), None);
+        assert_eq!(lane_split(LANE_WIDTH, big - 1), None);
+        let top = lane_split(LANE_WIDTH, big);
+        if cores() >= 2 {
+            assert_eq!(top, Some(LANE_WIDTH / 2));
+            assert_eq!(lane_split(33, big), Some(16));
+        } else {
+            assert_eq!(top, None);
+        }
+        // Inside a parallel region every chunk already has its core.
+        let nested = parallel_map(2, |_| lane_split(LANE_WIDTH, big));
+        if cores() >= 2 {
+            assert_eq!(nested, vec![None, None]);
+        }
     }
 
     #[test]

@@ -72,24 +72,41 @@ pub fn gemm_bm_acc(
     // per (r, k). Each lane's per-sequence chain is a *serial* sum over
     // k (FP order fixed), so wide blocks matter: every extra lane is an
     // independent dependency chain hiding the add latency of the
-    // others. Each lane still sums k-ascending — bit-identical to
-    // [`gemv_acc`] per sequence, whatever the block width.
-    for r in 0..rows {
-        let wrow = &w[r * cols..(r + 1) * cols];
-        let mut b0 = 0;
-        while b0 + 32 <= batch {
-            lane_block::<32>(wrow, x_bm, z_bm, r, cols, batch, b0);
-            b0 += 32;
+    // others. A 16-lane block carries two weight rows at once to keep
+    // as many chains in flight as the 32-lane block (the width of one
+    // lane half of a split training chunk). Each lane still sums
+    // k-ascending — bit-identical to [`gemv_acc`] per sequence, whatever
+    // the block width or row pairing.
+    let mut b0 = 0;
+    while b0 + 32 <= batch {
+        for r in 0..rows {
+            lane_block::<32>(&w[r * cols..(r + 1) * cols], x_bm, z_bm, r, batch, b0);
         }
-        while b0 + 8 <= batch {
-            lane_block::<8>(wrow, x_bm, z_bm, r, cols, batch, b0);
-            b0 += 8;
+        b0 += 32;
+    }
+    while b0 + 16 <= batch {
+        let mut r = 0;
+        while r + 2 <= rows {
+            lane_block_pair::<16>(&w[r * cols..(r + 2) * cols], x_bm, z_bm, r, batch, b0);
+            r += 2;
         }
-        if b0 < batch {
-            let tail = batch - b0;
-            let a = &mut acc[..tail];
+        if r < rows {
+            lane_block::<16>(&w[r * cols..(r + 1) * cols], x_bm, z_bm, r, batch, b0);
+        }
+        b0 += 16;
+    }
+    while b0 + 8 <= batch {
+        for r in 0..rows {
+            lane_block::<8>(&w[r * cols..(r + 1) * cols], x_bm, z_bm, r, batch, b0);
+        }
+        b0 += 8;
+    }
+    if b0 < batch {
+        let tail = batch - b0;
+        let a = &mut acc[..tail];
+        for r in 0..rows {
             a.fill(0.0);
-            for (k, &wv) in wrow.iter().enumerate() {
+            for (k, &wv) in w[r * cols..(r + 1) * cols].iter().enumerate() {
                 let x = &x_bm[k * batch + b0..k * batch + b0 + tail];
                 for (av, &xv) in a.iter_mut().zip(x) {
                     *av += wv * xv;
@@ -111,11 +128,9 @@ fn lane_block<const L: usize>(
     x_bm: &[f32],
     z_bm: &mut [f32],
     r: usize,
-    cols: usize,
     batch: usize,
     b0: usize,
 ) {
-    debug_assert_eq!(wrow.len(), cols);
     let mut a = [0.0f32; L];
     for (k, &wv) in wrow.iter().enumerate() {
         let x = &x_bm[k * batch + b0..k * batch + b0 + L];
@@ -126,6 +141,37 @@ fn lane_block<const L: usize>(
     let z = &mut z_bm[r * batch + b0..r * batch + b0 + L];
     for l in 0..L {
         z[l] += a[l];
+    }
+}
+
+/// [`lane_block`] over weight rows `r` and `r + 1` (`wrows` holds both):
+/// each x load feeds two independent accumulator sets.
+#[inline]
+fn lane_block_pair<const L: usize>(
+    wrows: &[f32],
+    x_bm: &[f32],
+    z_bm: &mut [f32],
+    r: usize,
+    batch: usize,
+    b0: usize,
+) {
+    let (w0, w1) = wrows.split_at(wrows.len() / 2);
+    let mut a0 = [0.0f32; L];
+    let mut a1 = [0.0f32; L];
+    for (k, (&u, &v)) in w0.iter().zip(w1).enumerate() {
+        let x = &x_bm[k * batch + b0..k * batch + b0 + L];
+        for l in 0..L {
+            a0[l] += u * x[l];
+            a1[l] += v * x[l];
+        }
+    }
+    let z = &mut z_bm[r * batch + b0..r * batch + b0 + L];
+    for l in 0..L {
+        z[l] += a0[l];
+    }
+    let z = &mut z_bm[(r + 1) * batch + b0..(r + 1) * batch + b0 + L];
+    for l in 0..L {
+        z[l] += a1[l];
     }
 }
 
@@ -154,13 +200,14 @@ pub fn gemv_t_acc(w: &[f32], y: &[f32], x_grad: &mut [f32], rows: usize, cols: u
 /// batch-major `Y: rows x batch` and `X_grad: cols x batch` (entry
 /// `[k][s]` at `k * batch + s`, as in [`gemm_bm_acc`]).
 ///
-/// This is [`gemv_t_acc`] amortized over a batch: `W` is traversed once
-/// for all `batch` sequences, and the inner loop runs over the
-/// contiguous batch dimension with a loop-invariant weight, so it
-/// vectorizes. Each lane receives exactly the addition sequence of
-/// `gemv_t_acc` (rows ascending, accumulating directly into `X_grad`),
+/// This is [`gemv_t_acc`] amortized over a batch: the inner loop runs
+/// over the contiguous batch dimension with a loop-invariant weight, so
+/// it vectorizes. Each lane receives exactly the addition sequence of
+/// `gemv_t_acc` (rows ascending, accumulating onto `X_grad`'s entry),
 /// so results are bit-identical to `batch` independent `gemv_t_acc`
-/// calls — the contract the batched backward pass is built on.
+/// calls — the contract the batched backward pass is built on. Lane
+/// blocks of an `X_grad` row stay in registers across all rows of `W`
+/// (a 16-lane block carries two `X_grad` rows, as in [`gemm_bm_acc`]).
 #[inline]
 pub fn gemm_bm_t_acc(
     w: &[f32],
@@ -173,15 +220,89 @@ pub fn gemm_bm_t_acc(
     debug_assert_eq!(w.len(), rows * cols);
     debug_assert_eq!(y_bm.len(), rows * batch);
     debug_assert_eq!(x_grad_bm.len(), cols * batch);
-    for r in 0..rows {
-        let yrow = &y_bm[r * batch..(r + 1) * batch];
-        let wrow = &w[r * cols..(r + 1) * cols];
-        for (c, &wv) in wrow.iter().enumerate() {
-            let xg = &mut x_grad_bm[c * batch..(c + 1) * batch];
-            for (g, &yv) in xg.iter_mut().zip(yrow) {
-                *g += wv * yv;
+    let src = TSrc {
+        w,
+        y_bm,
+        rows,
+        cols,
+        batch,
+    };
+    let mut b0 = 0;
+    while b0 + 32 <= batch {
+        for c in 0..cols {
+            t_block::<1, 32>(x_grad_bm, &src, c, b0);
+        }
+        b0 += 32;
+    }
+    while b0 + 16 <= batch {
+        let mut c = 0;
+        while c + 2 <= cols {
+            t_block::<2, 16>(x_grad_bm, &src, c, b0);
+            c += 2;
+        }
+        if c < cols {
+            t_block::<1, 16>(x_grad_bm, &src, c, b0);
+        }
+        b0 += 16;
+    }
+    while b0 + 8 <= batch {
+        for c in 0..cols {
+            t_block::<1, 8>(x_grad_bm, &src, c, b0);
+        }
+        b0 += 8;
+    }
+    if b0 < batch {
+        // Fewer than 8 lanes left: one serial chain per entry would be
+        // latency-bound, so sweep W row by row as `gemv_t_acc` does (the
+        // entries of a row are independent chains).
+        for r in 0..rows {
+            let y = &y_bm[r * batch + b0..(r + 1) * batch];
+            for (c, &wv) in w[r * cols..(r + 1) * cols].iter().enumerate() {
+                let xg = &mut x_grad_bm[c * batch + b0..(c + 1) * batch];
+                for (g, &yv) in xg.iter_mut().zip(y) {
+                    *g += wv * yv;
+                }
             }
         }
+    }
+}
+
+/// Operands of one [`gemm_bm_t_acc`] call.
+struct TSrc<'a> {
+    w: &'a [f32],
+    y_bm: &'a [f32],
+    rows: usize,
+    cols: usize,
+    batch: usize,
+}
+
+/// Lanes `b0..b0 + L` of `X_grad` rows `c0..c0 + C`, summed over every
+/// row of `W` in ascending order.
+#[inline]
+fn t_block<const C: usize, const L: usize>(
+    x_grad_bm: &mut [f32],
+    src: &TSrc<'_>,
+    c0: usize,
+    b0: usize,
+) {
+    let batch = src.batch;
+    let mut acc = [[0.0f32; L]; C];
+    for (ci, a) in acc.iter_mut().enumerate() {
+        let at = (c0 + ci) * batch + b0;
+        a.copy_from_slice(&x_grad_bm[at..at + L]);
+    }
+    for r in 0..src.rows {
+        let y = &src.y_bm[r * batch + b0..r * batch + b0 + L];
+        let wrow = &src.w[r * src.cols + c0..r * src.cols + c0 + C];
+        for (a, &wv) in acc.iter_mut().zip(wrow) {
+            for l in 0..L {
+                a[l] += wv * y[l];
+            }
+        }
+    }
+    for (ci, a) in acc.iter().enumerate() {
+        let at = (c0 + ci) * batch + b0;
+        x_grad_bm[at..at + L].copy_from_slice(a);
     }
 }
 
@@ -198,6 +319,119 @@ pub fn outer_acc(w_grad: &mut [f32], a: &[f32], b: &[f32]) {
         for (g, &bv) in row.iter_mut().zip(b) {
             *g += av * bv;
         }
+    }
+}
+
+/// A sequence of rank-1 updates `W_grad += a_j b_j^T`, replayed exactly
+/// as one [`outer_acc`] call per update in `items` order would — every
+/// entry receives the same additions in the same order, and a zero
+/// `a_j[r]` skips row `r` of update `j` — but by register blocks: each
+/// block of gradient entries stays in registers across all updates
+/// instead of being loaded and stored once per update.
+///
+/// `g` is `rows x cols` row-major. Update `j` is `items[j] = (a, b)`:
+/// entry `r` of its `a` vector is `coefs[a + r * row_stride]`, and its
+/// `b` vector is `vecs[b..b + cols]`.
+pub fn outer_acc_seq(
+    g: &mut [f32],
+    cols: usize,
+    items: &[(usize, usize)],
+    coefs: &[f32],
+    row_stride: usize,
+    vecs: &[f32],
+) {
+    let rows = g.len().checked_div(cols).unwrap_or(0);
+    debug_assert_eq!(rows * cols, g.len());
+    let src = ReplaySrc {
+        items,
+        coefs,
+        row_stride,
+        vecs,
+        cols,
+    };
+    // Every block keeps eight vector registers of independent chains in
+    // flight (each entry's chain is serial over the updates).
+    let mut c0 = 0;
+    while c0 + 32 <= cols {
+        for r in 0..rows {
+            replay_block::<1, 32>(g, &src, r, c0);
+        }
+        c0 += 32;
+    }
+    while c0 + 16 <= cols {
+        replay_rows_by::<2, 16>(g, &src, rows, c0);
+        c0 += 16;
+    }
+    while c0 + 8 <= cols {
+        replay_rows_by::<4, 8>(g, &src, rows, c0);
+        c0 += 8;
+    }
+    while c0 + 4 <= cols {
+        replay_rows_by::<8, 4>(g, &src, rows, c0);
+        c0 += 4;
+    }
+    while c0 < cols {
+        replay_rows_by::<8, 1>(g, &src, rows, c0);
+        c0 += 1;
+    }
+}
+
+/// The update sequence of one [`outer_acc_seq`] call.
+struct ReplaySrc<'a> {
+    items: &'a [(usize, usize)],
+    coefs: &'a [f32],
+    row_stride: usize,
+    vecs: &'a [f32],
+    cols: usize,
+}
+
+/// Columns `c0..c0 + W` of all rows, `R` rows per block, then one row
+/// at a time for the rows left over.
+#[inline]
+fn replay_rows_by<const R: usize, const W: usize>(
+    g: &mut [f32],
+    src: &ReplaySrc<'_>,
+    rows: usize,
+    c0: usize,
+) {
+    let mut r = 0;
+    while r + R <= rows {
+        replay_block::<R, W>(g, src, r, c0);
+        r += R;
+    }
+    while r < rows {
+        replay_block::<1, W>(g, src, r, c0);
+        r += 1;
+    }
+}
+
+#[inline]
+fn replay_block<const R: usize, const W: usize>(
+    g: &mut [f32],
+    src: &ReplaySrc<'_>,
+    r0: usize,
+    c0: usize,
+) {
+    let cols = src.cols;
+    let mut acc = [[0.0f32; W]; R];
+    for (ri, a) in acc.iter_mut().enumerate() {
+        let at = (r0 + ri) * cols + c0;
+        a.copy_from_slice(&g[at..at + W]);
+    }
+    for &(a_at, b_at) in src.items {
+        let v = &src.vecs[b_at + c0..b_at + c0 + W];
+        for (ri, acc_r) in acc.iter_mut().enumerate() {
+            let a = src.coefs[a_at + (r0 + ri) * src.row_stride];
+            if a != 0.0 {
+                for l in 0..W {
+                    acc_r[l] += a * v[l];
+                }
+            }
+        }
+    }
+    for (ri, a) in acc.iter().enumerate() {
+        let at = (r0 + ri) * cols + c0;
+        g[at..at + W].copy_from_slice(a);
     }
 }
 
@@ -535,6 +769,94 @@ mod tests {
     }
 
     #[test]
+    fn every_lane_block_is_bit_identical_to_per_sequence_gemv() {
+        // 16 runs the two-row 16-lane block alone, 24 adds an 8-lane
+        // block, 40 a 32-lane block plus an 8-lane one, and 5 rows leave
+        // one row of every 16-lane block unpaired. The tails (27, 53)
+        // run the scalar-width remainder after the blocks.
+        let (rows, cols) = (5usize, 7usize);
+        let w: Vec<f32> = (0..rows * cols)
+            .map(|i| ((i * 29 % 17) as f32 - 8.0) * 0.173)
+            .collect();
+        let bias: Vec<f32> = (0..rows).map(|r| r as f32 * 0.5 - 1.0).collect();
+        for batch in [16usize, 24, 27, 40, 53] {
+            let xs: Vec<Vec<f32>> = (0..batch)
+                .map(|s| {
+                    (0..cols)
+                        .map(|k| ((s * 13 + k * 7) % 23) as f32 * 0.091 - 1.0)
+                        .collect()
+                })
+                .collect();
+            let mut x_bm = vec![0.0f32; cols * batch];
+            for (s, x) in xs.iter().enumerate() {
+                for (k, &v) in x.iter().enumerate() {
+                    x_bm[k * batch + s] = v;
+                }
+            }
+            let mut z_bm = vec![0.0f32; rows * batch];
+            fill_rows_bm(&mut z_bm, &bias, batch);
+            let mut acc = vec![0.0f32; batch];
+            gemm_bm_acc(&w, &x_bm, &mut z_bm, rows, cols, batch, &mut acc);
+            for (s, x) in xs.iter().enumerate() {
+                let mut y = bias.clone();
+                gemv_acc(&w, x, &mut y, rows, cols);
+                for r in 0..rows {
+                    assert_eq!(
+                        z_bm[r * batch + s].to_bits(),
+                        y[r].to_bits(),
+                        "batch {batch} row {r} seq {s}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn outer_acc_seq_replays_outer_acc_bit_for_bit() {
+        // 55 columns run the 32-, 16-, 8- and 4-wide blocks and a
+        // 1-wide tail; 11 rows leave rows over in every row grouping.
+        // Zero coefficients against infinite vector entries and -0.0
+        // starting entries pin the zero-skip: adding 0 * x would turn
+        // them into NaN and +0.0.
+        let (rows, cols, n) = (11usize, 55usize, 9usize);
+        let coefs: Vec<f32> = (0..rows * n)
+            .map(|i| {
+                if i % 4 == 1 {
+                    0.0
+                } else {
+                    ((i * 37 % 23) as f32 - 11.0) * 0.07
+                }
+            })
+            .collect();
+        let vecs: Vec<f32> = (0..n * cols)
+            .map(|i| {
+                if i % 13 == 5 {
+                    f32::INFINITY
+                } else {
+                    ((i * 19 % 29) as f32 - 14.0) * 0.05
+                }
+            })
+            .collect();
+        let start: Vec<f32> = (0..rows * cols)
+            .map(|i| if i % 3 == 0 { -0.0 } else { i as f32 * 0.01 })
+            .collect();
+        let mut want = start.clone();
+        let mut a = vec![0.0f32; rows];
+        for j in 0..n {
+            for (r, av) in a.iter_mut().enumerate() {
+                *av = coefs[j + r * n];
+            }
+            outer_acc(&mut want, &a, &vecs[j * cols..(j + 1) * cols]);
+        }
+        let items: Vec<(usize, usize)> = (0..n).map(|j| (j, j * cols)).collect();
+        let mut got = start;
+        outer_acc_seq(&mut got, cols, &items, &coefs, n, &vecs);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "entry {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
     fn gemv_t_is_transpose_of_gemv() {
         let w = [1., -2., 0.5, 3., 4., -1.];
         let y = [2., -1.];
@@ -546,34 +868,48 @@ mod tests {
 
     #[test]
     fn gemm_bm_t_is_bit_identical_to_per_sequence_gemv_t() {
-        // 3x4 weights, batch of 5; include exact zeros in Y (the
-        // saturated-gate case) to pin the dense-accumulation contract.
-        let w: Vec<f32> = (0..12).map(|i| (i as f32 - 5.5) * 0.27).collect();
-        let (rows, cols, batch) = (3usize, 4usize, 5usize);
-        let ys: Vec<Vec<f32>> = vec![
+        // 3x5 weights; include exact zeros in Y (the saturated-gate
+        // case) to pin the dense-accumulation contract. Batch 5 runs the
+        // narrow tail alone; 16, 24 and 45 the 16-lane two-row block
+        // (its fifth `X_grad` row unpaired), the 8-lane and the 32-lane
+        // blocks.
+        let w: Vec<f32> = (0..15).map(|i| (i as f32 - 5.5) * 0.27).collect();
+        let (rows, cols) = (3usize, 5usize);
+        let base: Vec<Vec<f32>> = vec![
             vec![0.3, -1.1, 0.0],
             vec![0.0, 0.0, 0.0],
             vec![-0.5, 2.0, 1.5],
             vec![1e-4, -1e-4, 0.0],
             vec![0.9, 0.9, -0.9],
         ];
-        let mut y_bm = vec![0.0f32; rows * batch];
-        for (s, y) in ys.iter().enumerate() {
-            for (r, &v) in y.iter().enumerate() {
-                y_bm[r * batch + s] = v;
+        for batch in [5usize, 16, 24, 45] {
+            let ys: Vec<Vec<f32>> = (0..batch)
+                .map(|s| {
+                    base[s % 5]
+                        .iter()
+                        .map(|v| v * (1.0 + s as f32 * 0.1))
+                        .collect()
+                })
+                .collect();
+            let mut y_bm = vec![0.0f32; rows * batch];
+            for (s, y) in ys.iter().enumerate() {
+                for (r, &v) in y.iter().enumerate() {
+                    y_bm[r * batch + s] = v;
+                }
             }
-        }
-        let mut xg_bm = vec![0.0f32; cols * batch];
-        gemm_bm_t_acc(&w, &y_bm, &mut xg_bm, rows, cols, batch);
-        for (s, y) in ys.iter().enumerate() {
-            let mut xg = vec![0.0f32; cols];
-            gemv_t_acc(&w, y, &mut xg, rows, cols);
-            for c in 0..cols {
-                assert_eq!(
-                    xg_bm[c * batch + s].to_bits(),
-                    xg[c].to_bits(),
-                    "col {c} seq {s}"
-                );
+            let mut xg_bm: Vec<f32> = (0..cols * batch).map(|i| i as f32 * 0.01).collect();
+            let start = xg_bm.clone();
+            gemm_bm_t_acc(&w, &y_bm, &mut xg_bm, rows, cols, batch);
+            for (s, y) in ys.iter().enumerate() {
+                let mut xg: Vec<f32> = (0..cols).map(|c| start[c * batch + s]).collect();
+                gemv_t_acc(&w, y, &mut xg, rows, cols);
+                for c in 0..cols {
+                    assert_eq!(
+                        xg_bm[c * batch + s].to_bits(),
+                        xg[c].to_bits(),
+                        "batch {batch} col {c} seq {s}"
+                    );
+                }
             }
         }
     }

@@ -177,3 +177,60 @@ fn deeper_recurrent_stacks_stay_bit_identical() {
         }
     }
 }
+
+/// Recurrent models big enough that a top-level chunk of 32 or more
+/// lanes clears the work floor and runs as two lane halves on two
+/// threads (where the machine has two cores).
+fn split_sized_models(in_dim: usize, d: usize) -> Vec<SeqModel> {
+    vec![
+        SeqModel::lstm(in_dim, d, 2, 21),
+        SeqModel::gru(in_dim, d, 2, 22),
+        SeqModel::bilstm(in_dim, d, 2, 23),
+    ]
+}
+
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |c| c.get())
+}
+
+#[test]
+fn two_lane_halves_stay_bit_identical_to_per_sequence_passes() {
+    let (in_dim, d, t) = (24usize, 32usize, 13usize);
+    for batch in [16usize, 31, 32, 33, 48, 64] {
+        let xs = batch_inputs(batch, t, in_dim);
+        let douts = batch_douts(batch, d);
+        for m in split_sized_models(in_dim, d) {
+            let (out, bcache) = m.forward_batch_cached(&xs, t, batch);
+            if let Some(lstm) = m.as_lstm() {
+                // The shape really takes the split path: two lane
+                // halves from 32 lanes up on a multi-core machine, one
+                // part otherwise.
+                let (_, c) = lstm.forward_batch_cached(&xs, t, batch);
+                let want = if batch >= 32 && cores() >= 2 { 2 } else { 1 };
+                assert_eq!(c.lane_parts(), want, "batch {batch}");
+            }
+            let mut g_bat = vec![0.0f32; m.num_params()];
+            m.backward_batch(&xs, t, batch, &bcache, &douts, &mut g_bat);
+            let mut g_ref = vec![0.0f32; m.num_params()];
+            for s in 0..batch {
+                let seq = &xs[s * t * in_dim..(s + 1) * t * in_dim];
+                let (single, cache) = m.forward(seq, t);
+                assert_eq!(
+                    &out[s * d..(s + 1) * d],
+                    single.as_slice(),
+                    "{} sequence {s} of batch {batch}",
+                    m.describe()
+                );
+                m.backward(seq, t, &cache, &douts[s * d..(s + 1) * d], &mut g_ref);
+            }
+            for (p, (a, b)) in g_ref.iter().zip(&g_bat).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{} batch {batch} param {p}: scalar {a} vs batched {b}",
+                    m.describe()
+                );
+            }
+        }
+    }
+}

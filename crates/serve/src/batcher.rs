@@ -6,9 +6,14 @@
 //! executor as a closure, so correctness properties (any arrival
 //! interleaving ≡ sequential serving) can be tested directly against
 //! deterministic executors, and the HTTP layer stays a thin shell.
+//!
+//! A batch whose executor panics, or returns the wrong number of
+//! results, fails every ticket in it with a [`BatchError`]; the worker
+//! survives and goes on to the next batch.
 
 use perfvec_obs::{Counter, Gauge, Histogram};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -55,6 +60,28 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
+/// Why an accepted job got no result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchError {
+    /// The executor panicked on the job's batch.
+    Panicked,
+    /// The executor returned a different number of results than jobs.
+    WrongResultCount,
+}
+
+impl std::fmt::Display for BatchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BatchError::Panicked => write!(f, "batch executor panicked"),
+            BatchError::WrongResultCount => {
+                write!(f, "batch executor returned the wrong number of results")
+            }
+        }
+    }
+}
+
+impl std::error::Error for BatchError {}
+
 /// Aggregate counters (all monotonically increasing).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatcherStats {
@@ -66,6 +93,8 @@ pub struct BatcherStats {
     pub max_batch: u64,
     /// Submissions rejected with [`SubmitError::QueueFull`].
     pub shed: u64,
+    /// Executor invocations that failed (see [`BatchError`]).
+    pub failed: u64,
     /// Jobs currently queued (not yet draining).
     pub queue_depth: u64,
 }
@@ -83,10 +112,13 @@ pub struct BatcherObs {
     pub shed: Arc<Counter>,
     /// Distribution of coalesced batch sizes.
     pub batch_size: Arc<Histogram>,
+    /// Counter of executor invocations that panicked or returned the
+    /// wrong number of results.
+    pub failed: Arc<Counter>,
 }
 
 struct Slot<R> {
-    result: Mutex<Option<R>>,
+    result: Mutex<Option<Result<R, BatchError>>>,
     done: Condvar,
 }
 
@@ -96,8 +128,9 @@ pub struct Ticket<R> {
 }
 
 impl<R> Ticket<R> {
-    /// Block until the worker pool delivers this job's result.
-    pub fn wait(self) -> R {
+    /// Block until the worker pool delivers this job's result, or the
+    /// error that failed its batch.
+    pub fn wait(self) -> Result<R, BatchError> {
         let mut guard = self.slot.result.lock().unwrap();
         loop {
             if let Some(r) = guard.take() {
@@ -121,6 +154,7 @@ struct Shared<K, J, R> {
     jobs: AtomicU64,
     max_batch: AtomicU64,
     shed: AtomicU64,
+    failed: AtomicU64,
     obs: BatcherObs,
 }
 
@@ -144,7 +178,9 @@ where
 {
     /// Start `cfg.workers` threads around `exec`, which must return one
     /// result per job, in job order. Jobs passed to one `exec` call all
-    /// share a group key.
+    /// share a group key. A panic in `exec`, or a result count that is
+    /// not the job count, fails that batch's tickets with a
+    /// [`BatchError`].
     pub fn new<F>(cfg: BatcherConfig, exec: F) -> Batcher<K, J, R>
     where
         F: Fn(&K, Vec<J>) -> Vec<R> + Send + Sync + 'static,
@@ -168,6 +204,7 @@ where
             jobs: AtomicU64::new(0),
             max_batch: AtomicU64::new(0),
             shed: AtomicU64::new(0),
+            failed: AtomicU64::new(0),
             obs,
         });
         let exec = Arc::new(exec);
@@ -222,6 +259,7 @@ where
             jobs: self.shared.jobs.load(Ordering::Relaxed),
             max_batch: self.shared.max_batch.load(Ordering::Relaxed),
             shed: self.shared.shed.load(Ordering::Relaxed),
+            failed: self.shared.failed.load(Ordering::Relaxed),
             queue_depth: self.shared.state.lock().unwrap().queue.len() as u64,
         }
     }
@@ -273,12 +311,13 @@ where
         let n = drained.len() as u64;
         let (jobs, slots): (Vec<J>, Vec<Arc<Slot<R>>>) =
             drained.into_iter().map(|p| (p.job, p.slot)).unzip();
-        let results = exec(&key, jobs);
-        assert_eq!(
-            results.len(),
-            slots.len(),
-            "executor must return one result per job"
-        );
+        // `exec` holds none of the batcher's locks, so unwinding out of
+        // it leaves the queue and the counters consistent.
+        let results = match catch_unwind(AssertUnwindSafe(|| exec(&key, jobs))) {
+            Ok(r) if r.len() == slots.len() => Ok(r),
+            Ok(_) => Err(BatchError::WrongResultCount),
+            Err(_) => Err(BatchError::Panicked),
+        };
         // Counters first: a client woken by the notify below may read
         // stats() immediately, and completed work must already be
         // visible there.
@@ -286,9 +325,23 @@ where
         shared.jobs.fetch_add(n, Ordering::Relaxed);
         shared.max_batch.fetch_max(n, Ordering::Relaxed);
         shared.obs.batch_size.record(n);
-        for (slot, r) in slots.iter().zip(results) {
+        let deliver = |slot: &Slot<R>, r: Result<R, BatchError>| {
             *slot.result.lock().unwrap() = Some(r);
             slot.done.notify_all();
+        };
+        match results {
+            Ok(results) => {
+                for (slot, r) in slots.iter().zip(results) {
+                    deliver(slot, Ok(r));
+                }
+            }
+            Err(e) => {
+                shared.failed.fetch_add(1, Ordering::Relaxed);
+                shared.obs.failed.inc();
+                for slot in &slots {
+                    deliver(slot, Err(e));
+                }
+            }
         }
     }
 }
@@ -310,7 +363,7 @@ mod tests {
     fn single_job_round_trips() {
         let b = echo_batcher(BatcherConfig::default());
         let t = b.submit(7, 100).unwrap();
-        assert_eq!(t.wait(), (107, 1));
+        assert_eq!(t.wait(), Ok((107, 1)));
     }
 
     #[test]
@@ -327,7 +380,7 @@ mod tests {
                     (0..50u64)
                         .map(|i| {
                             let v = thread * 1000 + i;
-                            (v, b.submit(1, v).unwrap().wait().0)
+                            (v, b.submit(1, v).unwrap().wait().unwrap().0)
                         })
                         .collect::<Vec<_>>()
                 })
@@ -358,7 +411,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let key = (i % 2) as u32;
                     let t = b.submit(key, 10 + i).unwrap();
-                    (key, i, t.wait())
+                    (key, i, t.wait().unwrap())
                 })
             })
             .collect();
@@ -405,8 +458,87 @@ mod tests {
         let (lock, cv) = &*gate;
         *lock.lock().unwrap() = true;
         cv.notify_all();
-        assert_eq!(t0.wait(), 0);
-        assert_eq!(t1.wait(), 1);
-        assert_eq!(t2.wait(), 2);
+        assert_eq!(t0.wait(), Ok(0));
+        assert_eq!(t1.wait(), Ok(1));
+        assert_eq!(t2.wait(), Ok(2));
+    }
+
+    type Gate = Arc<(Mutex<bool>, Condvar)>;
+
+    /// A one-worker batcher whose executor waits at a gate, so jobs
+    /// queued meanwhile drain as one batch once the gate opens.
+    fn gated_batcher<F>(exec: F) -> (Batcher<u8, u32, u32>, Gate)
+    where
+        F: Fn(Vec<u32>) -> Vec<u32> + Send + Sync + 'static,
+    {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g2 = Arc::clone(&gate);
+        let b = Batcher::new(
+            BatcherConfig {
+                batch: 8,
+                queue_depth: 64,
+                workers: 1,
+            },
+            move |_, jobs| {
+                let (lock, cv) = &*g2;
+                let mut open = lock.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+                drop(open);
+                exec(jobs)
+            },
+        );
+        (b, gate)
+    }
+
+    fn open(gate: &(Mutex<bool>, Condvar)) {
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+    }
+
+    #[test]
+    fn a_panicking_executor_fails_its_batch_and_the_worker_serves_on() {
+        let (b, gate) = gated_batcher(|jobs| {
+            assert!(!jobs.contains(&13), "injected executor panic");
+            jobs.into_iter().map(|j| j * 2).collect()
+        });
+        // Job 0 occupies the worker at the gate; 1, 13 and 2 queue up
+        // behind it and drain as one batch, which panics on 13.
+        let t0 = b.submit(0, 0).unwrap();
+        while !b.shared.state.lock().unwrap().queue.is_empty() {
+            std::thread::yield_now();
+        }
+        let bad: Vec<_> = [1, 13, 2].map(|j| b.submit(0, j).unwrap()).into();
+        open(&gate);
+        assert_eq!(t0.wait(), Ok(0));
+        for t in bad {
+            assert_eq!(t.wait(), Err(BatchError::Panicked));
+        }
+        // Same single worker, next batch: served normally.
+        assert_eq!(b.submit(0, 21).unwrap().wait(), Ok(42));
+        assert_eq!(b.stats().failed, 1);
+    }
+
+    #[test]
+    fn a_wrong_result_count_fails_the_batch() {
+        let (b, gate) = gated_batcher(|mut jobs| {
+            if jobs.len() > 1 {
+                jobs.pop();
+            }
+            jobs
+        });
+        let t0 = b.submit(0, 5).unwrap();
+        while !b.shared.state.lock().unwrap().queue.is_empty() {
+            std::thread::yield_now();
+        }
+        let short: Vec<_> = [6, 7].map(|j| b.submit(0, j).unwrap()).into();
+        open(&gate);
+        assert_eq!(t0.wait(), Ok(5));
+        for t in short {
+            assert_eq!(t.wait(), Err(BatchError::WrongResultCount));
+        }
+        assert_eq!(b.submit(0, 8).unwrap().wait(), Ok(8));
+        assert_eq!(b.stats().failed, 1);
     }
 }

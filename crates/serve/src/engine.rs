@@ -13,7 +13,7 @@
 //! neither the batch size, nor which requests happen to be coalesced
 //! together, nor worker scheduling can change any result.
 
-use crate::batcher::{Batcher, BatcherConfig, BatcherObs, BatcherStats, SubmitError};
+use crate::batcher::{BatchError, Batcher, BatcherConfig, BatcherObs, BatcherStats, SubmitError};
 use crate::cache::{CacheStats, RepCache};
 use crate::registry::{LoadedModel, ModelRegistry};
 use perfvec::compose::program_representations_coalesced;
@@ -74,6 +74,8 @@ pub enum EngineError {
     BadFeatures(String),
     /// Queue full / shutting down.
     Overloaded(SubmitError),
+    /// The batch that carried the request failed (the server's fault).
+    Internal(BatchError),
 }
 
 impl std::fmt::Display for EngineError {
@@ -83,6 +85,7 @@ impl std::fmt::Display for EngineError {
             EngineError::UnknownMarch(m) => write!(f, "{m}"),
             EngineError::BadFeatures(m) => write!(f, "{m}"),
             EngineError::Overloaded(e) => write!(f, "{e}"),
+            EngineError::Internal(e) => write!(f, "internal error: {e}"),
         }
     }
 }
@@ -158,6 +161,11 @@ impl PredictEngine {
             batch_size: obs.histogram(
                 "perfvec_batch_size",
                 "Coalesced jobs per executor invocation",
+                &[],
+            ),
+            failed: obs.counter(
+                "perfvec_engine_panics_total",
+                "Batched forward passes that panicked or returned the wrong number of results",
                 &[],
             ),
         };
@@ -273,7 +281,7 @@ impl PredictEngine {
             .batcher
             .submit(m.name.clone(), job)
             .map_err(EngineError::Overloaded)?;
-        let result = ticket.wait();
+        let result = ticket.wait().map_err(EngineError::Internal)?;
         if let Some(o) = mobs {
             o.latency_us.record(started.elapsed().as_micros() as u64);
         }

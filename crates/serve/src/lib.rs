@@ -55,7 +55,7 @@ pub mod protocol;
 pub mod registry;
 pub mod server;
 
-pub use batcher::{Batcher, BatcherConfig, BatcherObs, SubmitError};
+pub use batcher::{BatchError, Batcher, BatcherConfig, BatcherObs, SubmitError};
 pub use engine::{EngineConfig, EngineError, PredictEngine, PredictOutcome};
 pub use registry::{LoadedModel, ModelRegistry};
 pub use server::{start, ServerConfig, ServerHandle};

@@ -313,6 +313,7 @@ fn stats_json(engine: &Arc<PredictEngine>) -> String {
         ("cache_misses", Json::Num(s.cache.misses as f64)),
         ("cache_entries", Json::Num(s.cache.entries as f64)),
         ("shed", Json::Num(s.batcher.shed as f64)),
+        ("failed_batches", Json::Num(s.batcher.failed as f64)),
         ("queue_depth", Json::Num(s.batcher.queue_depth as f64)),
         ("uptime_secs", Json::Num(s.uptime_secs)),
         ("per_model", obj(per_model)),
@@ -401,6 +402,7 @@ pub fn answer_predict(
             EngineError::UnknownModel(_) => (404, e.to_string()),
             EngineError::UnknownMarch(_) => (404, e.to_string()),
             EngineError::BadFeatures(_) => (400, e.to_string()),
+            EngineError::Internal(_) => (500, e.to_string()),
         })?;
     let mut fields = vec![
         ("model", Json::Str(model_name)),

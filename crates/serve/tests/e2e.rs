@@ -168,6 +168,7 @@ fn metrics_endpoint_serves_valid_prometheus_text() {
         "# TYPE perfvec_batch_size histogram",
         "# TYPE perfvec_engine_requests_total counter",
         "# TYPE perfvec_engine_predict_duration_us histogram",
+        "# TYPE perfvec_engine_panics_total counter",
     ] {
         assert!(text.contains(family), "missing {family:?} in:\n{text}");
     }
@@ -183,6 +184,7 @@ fn metrics_endpoint_serves_valid_prometheus_text() {
     assert_eq!(stats.get("requests").unwrap().as_u64(), Some(3));
     assert!(stats.get("uptime_secs").unwrap().as_f64().unwrap() >= 0.0);
     assert_eq!(stats.get("shed").unwrap().as_u64(), Some(0));
+    assert_eq!(stats.get("failed_batches").unwrap().as_u64(), Some(0));
     assert_eq!(stats.get("queue_depth").unwrap().as_u64(), Some(0));
     let per_model = stats.get("per_model").unwrap();
     assert_eq!(per_model.get("default").unwrap().as_u64(), Some(3));
