@@ -11,13 +11,36 @@
 //! consumer — program representations, serving's coalesced batches,
 //! the table refit ([`crate::refit`]), the trainer's validation loss
 //! and fine-tuning's representation cache — runs through one block
-//! generator: up to [`LANE_WIDTH`] windows go through a single
-//! [`perfvec_ml::seq::SeqModel::forward_batch`], blocks run in
+//! generator: up to [`LANE_WIDTH`] windows, named as `(features,
+//! instruction)` pairs and never copied out, go through a single
+//! [`perfvec_ml::seq::SeqModel::forward_windows`], blocks run in
 //! parallel, and the rows come back in instruction order. Each batched
 //! row is bit-identical to a scalar `forward` call
 //! ([`Foundation::repr_at`], the oracle the tests compare against),
 //! and each caller folds the rows in its fixed order, so every sum is
 //! reproducible bit-for-bit on any core count.
+//!
+//! **Project once, recur per window.** Each instruction sits in
+//! `context + 1` overlapping windows. For LSTM and GRU the block's
+//! distinct instructions (plus one all-zero column for the padding
+//! slots before instruction 0) are projected through layer 0's input
+//! weights once, `b + W_ih·x`, and each window's recurrence reads those
+//! columns and adds only `W_hh·h`; a block of consecutive windows
+//! projects `block + context` columns instead of
+//! `block × (context + 1)`. Two facts keep this exact:
+//! - *Projection.* Per lane, a scalar step's pre-activation is one
+//!   fixed chain, `b + Σ_k w·x` (ascending `k`, from +0.0), then
+//!   `+ Σ_k w·h`. The batched gemm's per-lane result depends on neither
+//!   batch width nor lane position, so a projected column is exactly
+//!   that chain's prefix.
+//! - *Skip at `t = 0`.* The recurrent gemm is skipped where `h` is zero.
+//!   In round-to-nearest a sum is −0.0 only when both terms are. The
+//!   product sum starts from +0.0, so neither it nor `b +` it is ever
+//!   −0.0, and adding the zero-state gemm's +0.0 (finite weights)
+//!   changes no bit.
+//!
+//! The other architectures fill their windows and run the plain batched
+//! forward.
 //!
 //! A stateful streaming generator (LSTM and GRU only) is an
 //! approximation with different semantics: one recurrent step per
@@ -25,8 +48,8 @@
 
 use crate::foundation::Foundation;
 use perfvec_ml::parallel::{parallel_map, LANE_WIDTH};
+use perfvec_ml::window::Window;
 use perfvec_trace::features::Matrix;
-use perfvec_trace::{fill_window, NUM_FEATURES};
 
 /// Instructions summed per accumulator before folding into the total.
 ///
@@ -35,31 +58,18 @@ use perfvec_trace::{fill_window, NUM_FEATURES};
 /// what makes their results bit-identical to one another.
 pub const SUM_CHUNK: usize = 2_048;
 
-/// Fill one window per `(features, instruction)` pair into `xs`,
-/// sequence-major, the input layout of the batched forward passes.
-pub(crate) fn fill_windows<'a>(
-    foundation: &Foundation,
-    windows: impl ExactSizeIterator<Item = (&'a Matrix, usize)>,
-    xs: &mut Vec<f32>,
-) {
-    let stride = foundation.window() * NUM_FEATURES;
-    xs.resize(windows.len() * stride, 0.0);
-    for (lane, (features, i)) in xs.chunks_exact_mut(stride).zip(windows) {
-        fill_window(features, i, foundation.context, lane);
-    }
-}
-
-/// The block generator: fill the windows into the scratch buffer `xs`,
-/// run them through one batched forward pass, and return the `len x d`
-/// representation rows in input order.
+/// The block generator: run the windows named by `(features,
+/// instruction)` pairs through one
+/// [`perfvec_ml::seq::SeqModel::forward_windows`] and return the
+/// `len x d` representation rows in input order.
 pub(crate) fn forward_windows<'a>(
     foundation: &Foundation,
-    windows: impl ExactSizeIterator<Item = (&'a Matrix, usize)>,
-    xs: &mut Vec<f32>,
+    windows: impl Iterator<Item = (&'a Matrix, usize)>,
 ) -> Vec<f32> {
-    let b = windows.len();
-    fill_windows(foundation, windows, xs);
-    foundation.model.forward_batch(xs, foundation.window(), b)
+    let windows: Vec<Window<'_>> = windows.map(|(m, i)| (m.data.as_slice(), i)).collect();
+    foundation
+        .model
+        .forward_windows(&windows, foundation.window())
 }
 
 /// Representations of `n` windows (`window(k)` names the `k`-th) as
@@ -73,7 +83,7 @@ where
     parallel_map(n.div_ceil(LANE_WIDTH), |b| {
         let lo = b * LANE_WIDTH;
         let hi = (lo + LANE_WIDTH).min(n);
-        forward_windows(foundation, (lo..hi).map(&window), &mut Vec::new())
+        forward_windows(foundation, (lo..hi).map(&window))
     })
     .concat()
 }
@@ -149,18 +159,13 @@ pub fn program_representations_coalesced(
         .enumerate()
         .flat_map(|(p, m)| (0..m.rows).map(move |i| (p, i)));
     let mut pending: Vec<(usize, usize)> = Vec::with_capacity(block);
-    let mut xs = Vec::new();
     loop {
         pending.clear();
         pending.extend(stream.by_ref().take(block));
         if pending.is_empty() {
             return totals;
         }
-        let rows = forward_windows(
-            foundation,
-            pending.iter().map(|&(p, i)| (programs[p], i)),
-            &mut xs,
-        );
+        let rows = forward_windows(foundation, pending.iter().map(|&(p, i)| (programs[p], i)));
         for (r, &(p, i)) in rows.chunks_exact(d).zip(&pending) {
             add_into(&mut accs[p], r);
             // Fold the chunk accumulator into the total at chunk
@@ -226,6 +231,7 @@ pub fn program_representation_streaming(
 mod tests {
     use super::*;
     use crate::foundation::{ArchKind, ArchSpec};
+    use perfvec_trace::NUM_FEATURES;
 
     fn toy_features(n: usize) -> Matrix {
         let mut m = Matrix::zeros(n, NUM_FEATURES);
@@ -375,7 +381,7 @@ mod tests {
 
     #[test]
     fn coalesced_representations_are_bit_identical_per_program() {
-        // Windows of several programs share forward_batch blocks; each
+        // Windows of several programs share forward_windows blocks; each
         // program's representation must still equal the parallel
         // generator's exactly — the serving engine's parity foundation.
         // The programs include an empty trace and one longer than

@@ -38,13 +38,14 @@
 //! RNG state) at an epoch cadence, and `TrainConfig::resume_from`
 //! restarts from one bit-identically.
 
-use crate::compose::{fill_windows, forward_windows};
+use crate::compose::forward_windows;
 use crate::foundation::{ArchSpec, Foundation};
 use crate::march_table::MarchTable;
 use perfvec_ml::adam::Adam;
 use perfvec_ml::parallel::BatchStep;
 use perfvec_ml::schedule::StepDecay;
 use perfvec_ml::tensor::{axpy, dot};
+use perfvec_ml::window::{fill_windows, Window};
 use perfvec_trace::{fill_window, ProgramData, NUM_FEATURES};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -256,12 +257,12 @@ fn batched_chunk_pass(
     let dim = table.dim;
     let b = items.len();
     let scale = foundation.target_scale;
+    let windows: Vec<Window<'_>> = items
+        .iter()
+        .map(|&(p, i)| (data[p].features.data.as_slice(), i))
+        .collect();
     let mut xs = Vec::new();
-    fill_windows(
-        foundation,
-        items.iter().map(|&(p, i)| (&data[p].features, i)),
-        &mut xs,
-    );
+    fill_windows(&windows, w, NUM_FEATURES, &mut xs);
     let (reps, cache) = foundation.model.forward_batch_cached(&xs, w, b);
     let mut douts = vec![0.0f32; b * dim];
     let mut preds = vec![0.0f32; k];
@@ -608,7 +609,6 @@ pub fn validation_loss(
         let reps = forward_windows(
             foundation,
             chunk.iter().map(|&(p, i)| (&data[p].features, i)),
-            &mut Vec::new(),
         );
         let mut preds = vec![0.0f32; k];
         let mut loss = 0.0f64;

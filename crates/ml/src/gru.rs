@@ -2,6 +2,7 @@
 //! architectures).
 
 use crate::init::seeded_rng;
+use crate::window::{Columns, Window};
 // Fast activations by design: scalar and batched paths share the same
 // straight-line-arithmetic functions so batched inference stays
 // bit-identical to scalar inference while its inner loops vectorize
@@ -590,51 +591,72 @@ impl Gru {
     /// in lockstep (see [`crate::lstm::Lstm::forward_batch`]; same
     /// layouts, same bit-identical-per-sequence guarantee).
     pub fn forward_batch(&self, xs: &[f32], t_steps: usize, batch: usize) -> Vec<f32> {
-        let in_dim = self.in_dim();
-        debug_assert_eq!(xs.len(), batch * t_steps * in_dim);
         assert!(batch >= 1);
+        self.recur(
+            &Columns::every_slot(xs, t_steps, batch, self.in_dim()),
+            t_steps,
+        )
+    }
+
+    /// [`Gru::forward_batch`] over `windows` of `t_steps` steps each,
+    /// projecting each distinct row once (see
+    /// [`crate::lstm::Lstm::forward_windows`]; same guarantee).
+    pub(crate) fn forward_windows(&self, windows: &[Window<'_>], t_steps: usize) -> Vec<f32> {
+        assert!(!windows.is_empty());
+        self.recur(&Columns::distinct(windows, t_steps, self.in_dim()), t_steps)
+    }
+
+    /// The batched recurrence over layer-0 input columns `cols`: layer
+    /// 0's `b + W_ih x` comes projected per column, and the recurrent
+    /// gemms are skipped at `t = 0` (exact for the reasons given on
+    /// [`crate::lstm::Lstm`]'s recurrence; `U_n h` is then the +0.0 a
+    /// zero-state gemm leaves).
+    fn recur(&self, cols: &Columns, t_steps: usize) -> Vec<f32> {
+        let batch = cols.batch;
         let mut h_st: Vec<Vec<f32>> = self
             .layers
             .iter()
             .map(|l| vec![0.0f32; l.hidden * batch])
             .collect();
         let h_max = self.layers.iter().map(|l| l.hidden).max().unwrap();
-        let mut x0 = vec![0.0f32; in_dim * batch];
+        let (w_ih0, _, b0) = self.layers[0].split(self.layer_param(0));
+        let proj = cols.project(w_ih0, b0, 3 * self.layers[0].hidden);
         let mut zx = vec![0.0f32; 3 * h_max * batch];
         let mut un = vec![0.0f32; h_max * batch];
         let mut acc = vec![0.0f32; batch];
         for t in 0..t_steps {
-            for k in 0..in_dim {
-                for (s, x) in x0[k * batch..(k + 1) * batch].iter_mut().enumerate() {
-                    *x = xs[s * t_steps * in_dim + t * in_dim + k];
-                }
-            }
             for (l, shape) in self.layers.iter().enumerate() {
                 let h = shape.hidden;
                 let (w_ih, w_hh, b) = shape.split(self.layer_param(l));
                 let (w_hr, rest) = w_hh.split_at(h * h);
                 let (w_hz, w_hn) = rest.split_at(h * h);
                 let zx = &mut zx[..3 * h * batch];
-                for (r, &bv) in b.iter().enumerate() {
-                    zx[r * batch..(r + 1) * batch].fill(bv);
-                }
                 let (below, cur) = h_st.split_at_mut(l);
-                let x_bm: &[f32] = if l == 0 { &x0 } else { &below[l - 1] };
-                gemm_bm_acc(w_ih, x_bm, zx, 3 * h, shape.in_dim, batch, &mut acc);
+                if l == 0 {
+                    cols.gather(&proj, 3 * h, t, zx);
+                } else {
+                    for (r, &bv) in b.iter().enumerate() {
+                        zx[r * batch..(r + 1) * batch].fill(bv);
+                    }
+                    gemm_bm_acc(
+                        w_ih,
+                        &below[l - 1],
+                        zx,
+                        3 * h,
+                        shape.in_dim,
+                        batch,
+                        &mut acc,
+                    );
+                }
                 let h_cur = &mut cur[0];
-                gemm_bm_acc(w_hr, h_cur, &mut zx[..h * batch], h, h, batch, &mut acc);
-                gemm_bm_acc(
-                    w_hz,
-                    h_cur,
-                    &mut zx[h * batch..2 * h * batch],
-                    h,
-                    h,
-                    batch,
-                    &mut acc,
-                );
                 let un = &mut un[..h * batch];
                 un.fill(0.0);
-                gemm_bm_acc(w_hn, h_cur, un, h, h, batch, &mut acc);
+                if t > 0 {
+                    let (zr, zz) = zx[..2 * h * batch].split_at_mut(h * batch);
+                    gemm_bm_acc(w_hr, h_cur, zr, h, h, batch, &mut acc);
+                    gemm_bm_acc(w_hz, h_cur, zz, h, h, batch, &mut acc);
+                    gemm_bm_acc(w_hn, h_cur, un, h, h, batch, &mut acc);
+                }
                 // Per-k row slices, processed in fixed-width chunks so
                 // the gate math reliably compiles to SIMD (see the
                 // LSTM's `gates_chunk`); identical math at any width.

@@ -8,9 +8,11 @@
 //! tests), the six sequence architectures of the Figure 6 ablation
 //! ([`seq::SeqModel`]) with batch-major batched forward *and* backward
 //! (`forward_batch`/[`seq::SeqModel::backward_batch`], bit-identical per
-//! sequence to the scalar passes), Adam with the paper's step-decay
-//! schedule, MSE loss, and deterministic lane-chunked gradient
-//! parallelism ([`parallel::BatchStep`]).
+//! sequence to the scalar passes), window-reading inference
+//! ([`seq::SeqModel::forward_windows`], which projects each instruction
+//! of a block once for the recurrent models), Adam with the paper's
+//! step-decay schedule, MSE loss, and deterministic lane-chunked
+//! gradient parallelism ([`parallel::BatchStep`]).
 //!
 //! ```
 //! use perfvec_ml::seq::SeqModel;
@@ -50,6 +52,7 @@ pub mod schedule;
 pub mod seq;
 pub mod tensor;
 pub mod transformer;
+pub mod window;
 
 pub use adam::Adam;
 pub use loss::{abs_rel_error, error_stats, mse, mse_grad};

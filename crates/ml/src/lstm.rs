@@ -6,6 +6,7 @@
 
 use crate::init::seeded_rng;
 use crate::parallel::lane_split;
+use crate::window::{Columns, Window};
 use std::panic::resume_unwind;
 use std::sync::{Barrier, OnceLock};
 // The fast activations are deliberate: every path (scalar step,
@@ -685,9 +686,35 @@ impl Lstm {
     /// performed in exactly the order of [`Lstm::forward`], so each
     /// output is bit-identical to an independent `forward` call.
     pub fn forward_batch(&self, xs: &[f32], t_steps: usize, batch: usize) -> Vec<f32> {
-        let in_dim = self.in_dim();
-        debug_assert_eq!(xs.len(), batch * t_steps * in_dim);
         assert!(batch >= 1);
+        self.recur(
+            &Columns::every_slot(xs, t_steps, batch, self.in_dim()),
+            t_steps,
+        )
+    }
+
+    /// [`Lstm::forward_batch`] over `windows` of `t_steps` steps each
+    /// (see [`crate::window`]), without copying them out: each distinct
+    /// row is projected through layer 0's input weights once, and every
+    /// window containing it reads the projected column. Each output is
+    /// bit-identical to [`Lstm::forward`] on the filled window.
+    pub(crate) fn forward_windows(&self, windows: &[Window<'_>], t_steps: usize) -> Vec<f32> {
+        assert!(!windows.is_empty());
+        self.recur(&Columns::distinct(windows, t_steps, self.in_dim()), t_steps)
+    }
+
+    /// The batched recurrence over layer-0 input columns `cols`.
+    ///
+    /// Per lane, a scalar step computes `z = (b + W_ih x) + W_hh h`,
+    /// each product sum its own chain from +0.0. Layer 0's `b + W_ih x`
+    /// is [`Columns::project`]ed once per column and gathered per step,
+    /// which is that chain's exact prefix. At `t = 0`, where `h` is
+    /// zero, the `W_hh h` term is skipped: with finite weights it is
+    /// +0.0, and `z` is never −0.0 (in round-to-nearest a sum is −0.0
+    /// only when both terms are, and the product sum starts from +0.0),
+    /// so adding it changes no bit.
+    fn recur(&self, cols: &Columns, t_steps: usize) -> Vec<f32> {
+        let batch = cols.batch;
         // Batch-major per-layer states: entry `k * batch + s`.
         let mut h_st: Vec<Vec<f32>> = self
             .layers
@@ -696,28 +723,27 @@ impl Lstm {
             .collect();
         let mut c_st = h_st.clone();
         let h_max = self.layers.iter().map(|l| l.hidden).max().unwrap();
-        let mut x0 = vec![0.0f32; in_dim * batch];
+        let (w_ih0, _, b0) = self.layers[0].split(self.layer_param(0));
+        let proj = cols.project(w_ih0, b0, 4 * self.layers[0].hidden);
         let mut z = vec![0.0f32; 4 * h_max * batch];
         let mut acc = vec![0.0f32; batch];
         for t in 0..t_steps {
-            // Gather this timestep's inputs for layer 0 into batch-major
-            // form; higher layers consume the layer below's fresh state.
-            for k in 0..in_dim {
-                for (s, x) in x0[k * batch..(k + 1) * batch].iter_mut().enumerate() {
-                    *x = xs[s * t_steps * in_dim + t * in_dim + k];
-                }
-            }
             for (l, shape) in self.layers.iter().enumerate() {
                 let h = shape.hidden;
                 let (w_ih, w_hh, b) = shape.split(self.layer_param(l));
                 let z = &mut z[..4 * h * batch];
-                for (r, &bv) in b.iter().enumerate() {
-                    z[r * batch..(r + 1) * batch].fill(bv);
-                }
                 let (below, cur_h) = h_st.split_at_mut(l);
-                let x_bm: &[f32] = if l == 0 { &x0 } else { &below[l - 1] };
-                gemm_bm_acc(w_ih, x_bm, z, 4 * h, shape.in_dim, batch, &mut acc);
-                gemm_bm_acc(w_hh, &cur_h[0], z, 4 * h, h, batch, &mut acc);
+                if l == 0 {
+                    cols.gather(&proj, 4 * h, t, z);
+                } else {
+                    for (r, &bv) in b.iter().enumerate() {
+                        z[r * batch..(r + 1) * batch].fill(bv);
+                    }
+                    gemm_bm_acc(w_ih, &below[l - 1], z, 4 * h, shape.in_dim, batch, &mut acc);
+                }
+                if t > 0 {
+                    gemm_bm_acc(w_hh, &cur_h[0], z, 4 * h, h, batch, &mut acc);
+                }
                 let (h_cur, c_cur) = (&mut cur_h[0], &mut c_st[l]);
                 // Per-k row slices, processed in fixed-width chunks:
                 // the const-width inner body reliably compiles to SIMD

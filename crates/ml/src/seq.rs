@@ -13,6 +13,7 @@ use crate::lstm::{Lstm, LstmBatchCache, LstmCache, LstmState};
 use crate::mlp::{Mlp, MlpBatchCache, MlpCache};
 use crate::tensor::{bm_to_seq, seq_to_bm};
 use crate::transformer::{TransformerBatchCache, TransformerCache, TransformerEncoder};
+use crate::window::{fill_windows, Window};
 
 /// A sequence model (one of the Figure 6 architectures).
 pub enum SeqModel {
@@ -306,6 +307,31 @@ impl SeqModel {
             SeqModel::BiLstm(m) => m.forward_batch(xs, t, batch),
             SeqModel::Gru(m) => m.forward_batch(xs, t, batch),
             SeqModel::Transformer(m) => m.forward_batch(xs, t, batch),
+        }
+    }
+
+    /// Batched forward over instruction windows: `windows[s]` names the
+    /// `t`-step window ending at one row of a row-major feature matrix
+    /// (see [`crate::window`]); the result is `windows.len() x out_dim`,
+    /// sequence-major, each row bit-identical to [`SeqModel::forward`]
+    /// on the filled window.
+    ///
+    /// LSTM and GRU project each distinct row of the block through
+    /// their bottom layer's input weights once and run the recurrence
+    /// from those columns; the other architectures fill the windows and
+    /// run [`SeqModel::forward_batch`].
+    pub fn forward_windows(&self, windows: &[Window<'_>], t: usize) -> Vec<f32> {
+        if windows.is_empty() {
+            return Vec::new();
+        }
+        match self {
+            SeqModel::Lstm(m) => m.forward_windows(windows, t),
+            SeqModel::Gru(m) => m.forward_windows(windows, t),
+            _ => {
+                let mut xs = Vec::new();
+                fill_windows(windows, t, self.in_dim(), &mut xs);
+                self.forward_batch(&xs, t, windows.len())
+            }
         }
     }
 

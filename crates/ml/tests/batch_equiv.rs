@@ -13,6 +13,7 @@
 //! a scalar one).
 
 use perfvec_ml::seq::SeqModel;
+use perfvec_ml::window::Window;
 
 fn all_models(in_dim: usize, d: usize, window: usize) -> Vec<SeqModel> {
     vec![
@@ -230,6 +231,119 @@ fn two_lane_halves_stay_bit_identical_to_per_sequence_passes() {
                     "{} batch {batch} param {p}: scalar {a} vs batched {b}",
                     m.describe()
                 );
+            }
+        }
+    }
+}
+
+/// The `t`-step window ending at row `i` of the row-major matrix
+/// `rows`, zero-padded before row 0 — written out here independently of
+/// the library's own window fill.
+fn window(rows: &[f32], in_dim: usize, i: usize, t: usize) -> Vec<f32> {
+    let mut w = vec![0.0f32; t * in_dim];
+    for step in 0..t {
+        if let Some(r) = (i + 1 + step).checked_sub(t) {
+            w[step * in_dim..(step + 1) * in_dim]
+                .copy_from_slice(&rows[r * in_dim..(r + 1) * in_dim]);
+        }
+    }
+    w
+}
+
+/// `forward_windows` must equal `forward` on each filled window, bit
+/// for bit.
+fn assert_windows_match_forward(m: &SeqModel, windows: &[Window<'_>], t: usize, what: &str) {
+    let (in_dim, d) = (m.in_dim(), m.out_dim());
+    let out = m.forward_windows(windows, t);
+    assert_eq!(out.len(), windows.len() * d, "{} {what}", m.describe());
+    for (s, &(rows, i)) in windows.iter().enumerate() {
+        let (single, _) = m.forward(&window(rows, in_dim, i, t), t);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&out[s * d..(s + 1) * d]),
+            bits(&single),
+            "{} {what}: window {s} (row {i})",
+            m.describe()
+        );
+    }
+}
+
+/// Window blocks of `batch` windows over two row-major matrices `a`
+/// and `b`: consecutive from row 0 (the first windows reach before row
+/// 0), consecutive across the end of `a` into `b` (the coalesced case),
+/// and scattered rows of both (validation's random items).
+fn window_blocks<'a>(
+    a: &'a [f32],
+    b: &'a [f32],
+    in_dim: usize,
+    batch: usize,
+) -> Vec<(&'static str, Vec<Window<'a>>)> {
+    let (na, nb) = (a.len() / in_dim, b.len() / in_dim);
+    let scattered = (0..batch)
+        .map(|s| {
+            let x = (s as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+            if s % 3 == 0 {
+                (b, x as usize % nb)
+            } else {
+                (a, x as usize % na)
+            }
+        })
+        .collect();
+    let split = batch.min(na) / 2;
+    vec![
+        ("from row 0", (0..batch).map(|i| (a, i % na)).collect()),
+        (
+            "across two matrices",
+            (na - split..na)
+                .map(|i| (a, i))
+                .chain((0..batch - split).map(|i| (b, i % nb)))
+                .collect(),
+        ),
+        ("scattered", scattered),
+    ]
+}
+
+#[test]
+fn forward_windows_is_bit_identical_to_forward_per_window() {
+    let (in_dim, d, t) = (6, 8, 5);
+    let a = batch_inputs(40, 1, in_dim);
+    let b: Vec<f32> = batch_inputs(65, 1, in_dim)[40 * in_dim..].to_vec();
+    for batch in [1usize, 7, 32, 33] {
+        for m in all_models(in_dim, d, t) {
+            for (what, windows) in window_blocks(&a, &b, in_dim, batch) {
+                assert_windows_match_forward(&m, &windows, t, &format!("{what}, batch {batch}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn forward_windows_keeps_negative_zero_bias_rows_exact() {
+    // One row of every gate in layer 0 with zero weights and a −0.0
+    // bias, the edge case of the exactness argument: the scalar chain
+    // turns −0.0 + (+0.0) into +0.0, and the projected padding column
+    // and the skipped zero-state gemm at t = 0 must agree with it. (The
+    // activations absorb the sign of a zero before the output, so this
+    // pins the values along the edge case, not the sign itself.)
+    let (in_dim, d, t) = (5, 6, 4);
+    let a = batch_inputs(30, 1, in_dim);
+    let b: Vec<f32> = batch_inputs(50, 1, in_dim)[30 * in_dim..].to_vec();
+    for (mut m, gates) in [
+        (SeqModel::lstm(in_dim, d, 2, 31), 4),
+        (SeqModel::gru(in_dim, d, 2, 32), 3),
+    ] {
+        let mut p = m.get_params();
+        let (w_ih, w_hh) = (gates * d * in_dim, gates * d * d);
+        for g in 0..gates {
+            let r = g * d + 1;
+            p[r * in_dim..(r + 1) * in_dim].fill(0.0);
+            p[w_ih + r * d..w_ih + (r + 1) * d].fill(0.0);
+            p[w_ih + w_hh + r] = -0.0;
+        }
+        m.set_params(&p);
+        for batch in [1usize, 7, 32, 33] {
+            for (what, windows) in window_blocks(&a, &b, in_dim, batch) {
+                assert_windows_match_forward(&m, &windows, t, &format!("{what}, batch {batch}"));
             }
         }
     }

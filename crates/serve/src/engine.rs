@@ -8,7 +8,7 @@
 //! A served prediction is **bit-identical** to the offline path
 //! (`perfvec::program_representation` + `perfvec::predict`): batched
 //! window forwards are bit-identical per sequence (see
-//! `SeqModel::forward_batch`), and per-request sums replay the offline
+//! `SeqModel::forward_windows`), and per-request sums replay the offline
 //! chunk structure exactly (see [`perfvec::compose::SUM_CHUNK`]), so
 //! neither the batch size, nor which requests happen to be coalesced
 //! together, nor worker scheduling can change any result.
@@ -72,6 +72,9 @@ pub enum EngineError {
     UnknownMarch(String),
     /// Feature matrix malformed.
     BadFeatures(String),
+    /// The prediction came out NaN or infinite (finite inputs whose
+    /// representation or dot product with the machine row overflowed).
+    NonFinite(String),
     /// Queue full / shutting down.
     Overloaded(SubmitError),
     /// The batch that carried the request failed (the server's fault).
@@ -84,6 +87,7 @@ impl std::fmt::Display for EngineError {
             EngineError::UnknownModel(m) => write!(f, "unknown model {m:?}"),
             EngineError::UnknownMarch(m) => write!(f, "{m}"),
             EngineError::BadFeatures(m) => write!(f, "{m}"),
+            EngineError::NonFinite(m) => write!(f, "{m}"),
             EngineError::Overloaded(e) => write!(f, "{e}"),
             EngineError::Internal(e) => write!(f, "internal error: {e}"),
         }
@@ -269,7 +273,7 @@ impl PredictEngine {
                 if let Some(o) = mobs {
                     o.latency_us.record(started.elapsed().as_micros() as u64);
                 }
-                return Ok(outcome);
+                return outcome;
             }
         }
         let job = RepJob {
@@ -285,13 +289,7 @@ impl PredictEngine {
         if let Some(o) = mobs {
             o.latency_us.record(started.elapsed().as_micros() as u64);
         }
-        Ok(make_outcome(
-            m,
-            &result.rep,
-            march_row,
-            false,
-            result.coalesced,
-        ))
+        make_outcome(m, &result.rep, march_row, false, result.coalesced)
     }
 
     /// Counters snapshot.
@@ -316,14 +314,19 @@ fn make_outcome(
     march_row: usize,
     cache_hit: bool,
     coalesced: usize,
-) -> PredictOutcome {
+) -> Result<PredictOutcome, EngineError> {
     let prediction_tenths =
         predict_total_tenths(rep, m.table.rep(march_row), m.foundation.target_scale);
-    PredictOutcome {
+    if !prediction_tenths.is_finite() {
+        return Err(EngineError::NonFinite(format!(
+            "prediction for march_index {march_row} is not finite ({prediction_tenths})"
+        )));
+    }
+    Ok(PredictOutcome {
         prediction_tenths,
         cache_hit,
         coalesced,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -440,5 +443,52 @@ mod tests {
             engine.predict(None, bad, 0, false),
             Err(EngineError::BadFeatures(_))
         ));
+    }
+
+    #[test]
+    fn non_finite_predictions_are_typed_errors() {
+        // Finite table rows whose dot product with the representation
+        // overflows f32: row 0 matches its signs (+inf), row 1 has
+        // ±f32::MAX halves that each overflow (inf - inf = NaN), row 2
+        // stays finite.
+        let (k, d) = (3, 8);
+        let spec = ArchSpec {
+            kind: ArchKind::Lstm,
+            layers: 1,
+            dim: d,
+        };
+        let foundation = Foundation::new(spec, 3, 0.1, 42);
+        let feats = Arc::new(toy_features(40, 3));
+        let rep = program_representation(&foundation, &feats);
+        let mut rows = vec![0.5f32; k * d];
+        for (c, &r) in rep.iter().enumerate() {
+            rows[c] = f32::MAX.copysign(r);
+            rows[d + c] = if c < d / 2 { rows[c] } else { -rows[c] };
+        }
+        let half = |cs: std::ops::Range<usize>| rep[cs].iter().map(|v| v.abs()).sum::<f32>();
+        assert!(half(0..d / 2) > 1.0 && half(d / 2..d) > 1.0, "{rep:?}");
+        let model = LoadedModel::from_parts(
+            "default",
+            foundation,
+            spec,
+            MarchTable::from_rows(k, d, rows),
+            0,
+        );
+        let engine = PredictEngine::new(
+            Arc::new(ModelRegistry::new(vec![model]).unwrap()),
+            EngineConfig::default(),
+        );
+        for row in [0, 1] {
+            // The miss and the cache hit that follows are both checked.
+            for _ in 0..2 {
+                let got = engine.predict(None, Arc::clone(&feats), row, false);
+                assert!(
+                    matches!(got, Err(EngineError::NonFinite(_))),
+                    "row {row}: {got:?}"
+                );
+            }
+        }
+        let ok = engine.predict(None, feats, 2, false).unwrap();
+        assert!(ok.cache_hit && ok.prediction_tenths.is_finite());
     }
 }

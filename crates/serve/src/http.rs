@@ -137,6 +137,7 @@ pub fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
+        422 => "Unprocessable Content",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",

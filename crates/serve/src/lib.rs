@@ -17,7 +17,7 @@
 //!                                      ▼
 //!            bounded queue ─ worker pool drains ≤ B same-model requests
 //!                                      ▼
-//!        one coalesced batched forward pass (SeqModel::forward_batch)
+//!      one coalesced batched forward pass (SeqModel::forward_windows)
 //!                                      ▼
 //!               per-request representations ─ dot ─ reply
 //! ```

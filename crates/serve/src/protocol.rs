@@ -127,11 +127,13 @@ fn features_from_json(v: &Json) -> Result<Matrix, String> {
             ));
         }
         for (j, c) in cols.iter().enumerate() {
-            let x = c.as_f64().ok_or("feature entries must be numbers")?;
+            // Checked after the cast: a finite f64 beyond the f32 range
+            // (`1e300`) would otherwise enter the model as infinity.
+            let x = c.as_f64().ok_or("feature entries must be numbers")? as f32;
             if !x.is_finite() {
                 return Err(format!("feature row {i} entry {j} is not finite"));
             }
-            m.row_mut(i)[j] = x as f32;
+            m.row_mut(i)[j] = x;
         }
     }
     Ok(m)
@@ -438,6 +440,35 @@ mod tests {
             }
             _ => panic!("expected inline features"),
         }
+    }
+
+    #[test]
+    fn inline_features_beyond_f32_range_are_rejected() {
+        for (big, entry) in [
+            ("1e300", 3usize),
+            ("-3.5e38", 0),
+            ("1e400", NUM_FEATURES - 1),
+        ] {
+            let row: Vec<&str> = (0..NUM_FEATURES)
+                .map(|j| if j == entry { big } else { "0.5" })
+                .collect();
+            let body = format!(r#"{{"features":[[{}]],"march_index":0}}"#, row.join(","));
+            let err = match parse_predict_request(&Json::parse(&body).unwrap()) {
+                Err(e) => e,
+                Ok(_) => panic!("{big} should be rejected"),
+            };
+            assert_eq!(
+                err,
+                format!("feature row 0 entry {entry} is not finite"),
+                "{big}"
+            );
+        }
+        // The largest finite f32 still passes.
+        let row: Vec<String> = (0..NUM_FEATURES)
+            .map(|_| format!("{:e}", f32::MAX as f64))
+            .collect();
+        let body = format!(r#"{{"features":[[{}]],"march_index":0}}"#, row.join(","));
+        assert!(parse_predict_request(&Json::parse(&body).unwrap()).is_ok());
     }
 
     #[test]

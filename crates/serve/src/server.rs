@@ -402,6 +402,7 @@ pub fn answer_predict(
             EngineError::UnknownModel(_) => (404, e.to_string()),
             EngineError::UnknownMarch(_) => (404, e.to_string()),
             EngineError::BadFeatures(_) => (400, e.to_string()),
+            EngineError::NonFinite(_) => (422, e.to_string()),
             EngineError::Internal(_) => (500, e.to_string()),
         })?;
     let mut fields = vec![

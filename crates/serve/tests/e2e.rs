@@ -156,7 +156,8 @@ fn metrics_endpoint_serves_valid_prometheus_text() {
     let (status, text) =
         perfvec_serve::client::roundtrip_raw(&mut conn, "GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);
-    perfvec_obs::prom::validate(&text).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{text}"));
+    perfvec_obs::prom::validate(&text)
+        .unwrap_or_else(|e| panic!("invalid exposition: {e}\n{text}"));
 
     // Required metric families: request latency, queue depth, shed
     // count, batch-size distribution, per-model engine counters.
@@ -176,7 +177,8 @@ fn metrics_endpoint_serves_valid_prometheus_text() {
         text.contains("perfvec_engine_requests_total{model=\"default\"} 3"),
         "per-model counter wrong in:\n{text}"
     );
-    assert!(text.contains("perfvec_http_request_duration_us_bucket{route=\"/v1/predict\",le=\"+Inf\"} 3"));
+    assert!(text
+        .contains("perfvec_http_request_duration_us_bucket{route=\"/v1/predict\",le=\"+Inf\"} 3"));
 
     // /v1/stats keeps its original fields and gains uptime + per-model.
     let (status, stats) = http(&mut conn, "GET", "/v1/stats", None);
@@ -289,5 +291,77 @@ fn inline_features_round_trip_through_the_wire() {
     let served = f64_from_bits_hex(resp.get("predicted_bits").unwrap().as_str().unwrap()).unwrap();
     assert_eq!(served.to_bits(), offline.to_bits());
 
+    handle.shutdown();
+}
+
+#[test]
+fn overflowing_inputs_and_predictions_get_error_statuses() {
+    // Row 0 of the table is finite but matches the signs of the
+    // program's representation, so the dot product overflows.
+    let spec = ArchSpec::default_lstm(16);
+    let foundation = Foundation::new(spec, 4, 0.1, 42);
+    let n = 20;
+    let mut feats = perfvec_trace::features::Matrix::zeros(n, perfvec_trace::NUM_FEATURES);
+    feats.data.fill(0.5);
+    let rep = program_representation(&foundation, &feats);
+    assert!(rep.iter().map(|v| v.abs()).sum::<f32>() > 1.0, "{rep:?}");
+    let k = training_population(DEFAULT_MARCH_SEED).len();
+    let mut rows = vec![0.25f32; k * 16];
+    for (m, r) in rows.iter_mut().zip(&rep) {
+        *m = f32::MAX.copysign(*r);
+    }
+    let registry = ModelRegistry::new(vec![LoadedModel::from_parts(
+        "default",
+        foundation,
+        spec,
+        MarchTable::from_rows(k, 16, rows),
+        DEFAULT_MARCH_SEED,
+    )])
+    .unwrap();
+    let handle = start(
+        registry,
+        ServerConfig {
+            port: 0,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut conn = TcpStream::connect(handle.addr).unwrap();
+    let request = |first: &str, march_index: usize| {
+        let row = |i: usize| {
+            let cols: Vec<&str> = (0..perfvec_trace::NUM_FEATURES)
+                .map(|j| if i + j == 0 { first } else { "0.5" })
+                .collect();
+            format!("[{}]", cols.join(","))
+        };
+        let rows: Vec<String> = (0..n).map(row).collect();
+        format!(
+            r#"{{"features":[{}],"march_index":{march_index}}}"#,
+            rows.join(",")
+        )
+    };
+    for (body, want) in [
+        // A finite f64 beyond the f32 range is a bad input.
+        (request("1e300", 1), 400u16),
+        // A finite input whose prediction overflows is no answer.
+        (request("0.5", 0), 422),
+        (request("0.5", 1), 200),
+    ] {
+        let (status, resp) = http(&mut conn, "POST", "/v1/predict", Some(&body));
+        assert_eq!(status, want, "{resp}");
+        if want == 200 {
+            let p = resp.get("predicted_total_tenths_ns").unwrap().as_f64();
+            assert!(p.is_some_and(f64::is_finite), "{resp}");
+        } else {
+            assert!(
+                resp.get("error")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+                    .contains("not finite"),
+                "{resp}"
+            );
+        }
+    }
     handle.shutdown();
 }
