@@ -2,7 +2,7 @@
 //! architectures).
 
 use crate::init::seeded_rng;
-use crate::window::{Columns, Window};
+use crate::window::{Columns, InputWeights, Window};
 // Fast activations by design: scalar and batched paths share the same
 // straight-line-arithmetic functions so batched inference stays
 // bit-identical to scalar inference while its inner loops vectorize
@@ -611,7 +611,7 @@ impl Gru {
     /// gemms are skipped at `t = 0` (exact for the reasons given on
     /// [`crate::lstm::Lstm`]'s recurrence; `U_n h` is then the +0.0 a
     /// zero-state gemm leaves).
-    fn recur(&self, cols: &Columns, t_steps: usize) -> Vec<f32> {
+    fn recur(&self, cols: &Columns<'_>, t_steps: usize) -> Vec<f32> {
         let batch = cols.batch;
         let mut h_st: Vec<Vec<f32>> = self
             .layers
@@ -620,7 +620,7 @@ impl Gru {
             .collect();
         let h_max = self.layers.iter().map(|l| l.hidden).max().unwrap();
         let (w_ih0, _, b0) = self.layers[0].split(self.layer_param(0));
-        let proj = cols.project(w_ih0, b0, 3 * self.layers[0].hidden);
+        let proj = cols.project(&InputWeights::new(w_ih0, b0));
         let mut zx = vec![0.0f32; 3 * h_max * batch];
         let mut un = vec![0.0f32; h_max * batch];
         let mut acc = vec![0.0f32; batch];

@@ -6,7 +6,7 @@
 
 use crate::init::seeded_rng;
 use crate::parallel::lane_split;
-use crate::window::{Columns, Window};
+use crate::window::{Columns, InputWeights, Window};
 use std::panic::resume_unwind;
 use std::sync::{Barrier, OnceLock};
 // The fast activations are deliberate: every path (scalar step,
@@ -16,7 +16,7 @@ use std::sync::{Barrier, OnceLock};
 // inference while its inner loops vectorize (see `tensor::tanh_apx`).
 use crate::tensor::{
     for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc, outer_acc, outer_acc_seq,
-    sigmoid_apx, tanh_apx,
+    outer_acc_sparse, sigmoid_apx, tanh_apx, Nonzeros,
 };
 
 /// Shape of one LSTM layer with input size `in_dim` and hidden size `h`.
@@ -371,11 +371,26 @@ impl LstmBatchCache {
 }
 
 /// What one lane part's delta recursion leaves for the parameter
-/// replay, indexed by layer: the pre-activation deltas (`T x 4h x batch`)
-/// and the hidden states, sequence-major (`batch x T x h`).
+/// replay, indexed by layer: the pre-activation deltas and the hidden
+/// states, sequence-major (`batch x T x h`). The deltas are
+/// `T x 4h x batch`, except layer 0's: sequence-major (`batch x T x 4h`)
+/// for its sparse `W_ih` replay, which also reads the nonzero features
+/// of the part's inputs, one list per feature (`x0`, entry
+/// `(s * T + t, x)` in the canonical order: sequence ascending,
+/// timestep descending).
 struct PartDeltas {
     dz: Vec<Vec<f32>>,
     hs: Vec<Vec<f32>>,
+    x0: Nonzeros,
+}
+
+/// A layer's input, as its `W_ih` replay reads it.
+enum ReplayInput<'a> {
+    /// Sequence-major `batch x T x in_dim`, replayed densely; the
+    /// deltas are `T x 4h x batch`.
+    Dense(&'a [f32]),
+    /// Layer 0: [`PartDeltas`]'s `x0`; the deltas are sequence-major.
+    Sparse(&'a Nonzeros),
 }
 
 /// One thread's share of a layer's parameter gradients: gate rows
@@ -415,9 +430,12 @@ impl LstmLayerShape {
     ///
     /// `dh` is `T x h x batch` (consumed in place); input gradients are
     /// accumulated into `dxs` (`T x in x batch`) when given. Returns
-    /// every timestep's pre-activation deltas (`T x 4h x batch`) for
-    /// [`LstmLayerShape::replay_rows`]. Lane deltas follow the scalar
-    /// operation sequence exactly.
+    /// every timestep's pre-activation deltas for
+    /// [`LstmLayerShape::replay_rows`]: `T x 4h x batch`, or with
+    /// `seq_major` `batch x T x 4h` (one contiguous delta vector per
+    /// update, transposed a step at a time while the step is in cache).
+    /// Lane deltas follow the scalar operation sequence exactly.
+    #[allow(clippy::too_many_arguments)]
     fn deltas_batch(
         &self,
         w: &[f32],
@@ -426,13 +444,16 @@ impl LstmLayerShape {
         cache: &LstmLayerBatchCache,
         dh: &mut [f32],
         mut dxs: Option<&mut [f32]>,
+        seq_major: bool,
     ) -> Vec<f32> {
         let h = self.hidden;
         let i_dim = self.in_dim;
         let (w_ih, w_hh, _) = self.split(w);
         let mut dc_next = vec![0.0f32; h * batch];
         let mut dh_rec = vec![0.0f32; h * batch];
-        let mut dzs = vec![0.0f32; t_steps * 4 * h * batch];
+        let rows = 4 * h;
+        let mut dzs = vec![0.0f32; t_steps * rows * batch];
+        let mut step_dz = vec![0.0f32; if seq_major { rows * batch } else { 0 }];
         let zero_row = vec![0.0f32; batch];
         for t in (0..t_steps).rev() {
             let gates = &cache.gates[t * 4 * h * batch..(t + 1) * 4 * h * batch];
@@ -441,7 +462,11 @@ impl LstmLayerShape {
             for (d, r) in dh_t.iter_mut().zip(&dh_rec) {
                 *d += r;
             }
-            let dz = &mut dzs[t * 4 * h * batch..(t + 1) * 4 * h * batch];
+            let dz = if seq_major {
+                &mut step_dz[..]
+            } else {
+                &mut dzs[t * rows * batch..(t + 1) * rows * batch]
+            };
             let (dz_i, dz_rest) = dz.split_at_mut(h * batch);
             let (dz_f, dz_rest) = dz_rest.split_at_mut(h * batch);
             let (dz_g, dz_o) = dz_rest.split_at_mut(h * batch);
@@ -490,17 +515,28 @@ impl LstmLayerShape {
             if t > 0 {
                 gemm_bm_t_acc(w_hh, dz, &mut dh_rec, 4 * h, h, batch);
             }
+            if seq_major {
+                for s in 0..batch {
+                    let at = (s * t_steps + t) * rows;
+                    for (r, d) in dzs[at..at + rows].iter_mut().enumerate() {
+                        *d = step_dz[r * batch + s];
+                    }
+                }
+            }
         }
         dzs
     }
 
     /// Accumulate one lane part's parameter gradients for the gate rows
     /// of `g`, given the part's deltas from
-    /// [`LstmLayerShape::deltas_batch`], its layer inputs `xs` and its
-    /// hidden states `hs` (both sequence-major, `batch x T x dim`): per
+    /// [`LstmLayerShape::deltas_batch`], its layer inputs `x` and its
+    /// hidden states `hs` (sequence-major, `batch x T x h`): per
     /// sequence (ascending), per timestep (descending), exactly the
     /// scalar path's rank-1 updates ([`outer_acc`] order, zero-skip
-    /// included, replayed by [`outer_acc_seq`]) and bias adds.
+    /// included, replayed by [`outer_acc_seq`]) and bias adds. A sparse
+    /// input leaves out the `W_ih` terms of its zero features
+    /// ([`outer_acc_sparse`], exact while no `W_ih` gradient entry
+    /// starts at −0.0).
     ///
     /// Every gradient entry is its own accumulation chain, so replaying
     /// a subset of the rows, or the lane parts one after the other,
@@ -508,7 +544,7 @@ impl LstmLayerShape {
     /// per sequence in batch order.
     fn replay_rows(
         &self,
-        xs: &[f32],
+        x: ReplayInput<'_>,
         hs: &[f32],
         t_steps: usize,
         batch: usize,
@@ -516,8 +552,16 @@ impl LstmLayerShape {
         g: &mut GradRows<'_>,
     ) {
         let (h, i_dim) = (self.hidden, self.in_dim);
-        // Update (s, t) reads delta rows at `t * 4h * batch + r * batch + s`.
-        let dz_at = |s: usize, t: usize| (t * 4 * h + g.first) * batch + s;
+        // Update (s, t) reads delta row `r` at `dz_at(s, t) + r * stride`.
+        let seq_major = matches!(x, ReplayInput::Sparse(_));
+        let stride = if seq_major { 1 } else { batch };
+        let dz_at = |s: usize, t: usize| {
+            if seq_major {
+                (s * t_steps + t) * 4 * h + g.first
+            } else {
+                (t * 4 * h + g.first) * batch + s
+            }
+        };
         let mut ih_items = Vec::with_capacity(batch * t_steps);
         let mut hh_items = Vec::with_capacity(batch * t_steps);
         for s in 0..batch {
@@ -528,17 +572,20 @@ impl LstmLayerShape {
                 }
             }
         }
-        outer_acc_seq(g.ih, i_dim, &ih_items, dzs, batch, xs);
-        outer_acc_seq(g.hh, h, &hh_items, dzs, batch, hs);
+        match x {
+            ReplayInput::Dense(xs) => outer_acc_seq(g.ih, i_dim, &ih_items, dzs, batch, xs),
+            ReplayInput::Sparse(x) => outer_acc_sparse(g.ih, i_dim, x, &dzs[g.first..], 4 * h),
+        }
+        outer_acc_seq(g.hh, h, &hh_items, dzs, stride, hs);
         // Eight bias rows per pass keep eight independent chains busy.
         for (r8, gb) in g.b.chunks_mut(8).enumerate() {
             let mut acc = [0.0f32; 8];
             let acc = &mut acc[..gb.len()];
             acc.copy_from_slice(gb);
             for &(a, _) in &ih_items {
-                let a = a + r8 * 8 * batch;
+                let a = a + r8 * 8 * stride;
                 for (ri, v) in acc.iter_mut().enumerate() {
-                    *v += dzs[a + ri * batch];
+                    *v += dzs[a + ri * stride];
                 }
             }
             gb.copy_from_slice(acc);
@@ -713,7 +760,7 @@ impl Lstm {
     /// +0.0, and `z` is never −0.0 (in round-to-nearest a sum is −0.0
     /// only when both terms are, and the product sum starts from +0.0),
     /// so adding it changes no bit.
-    fn recur(&self, cols: &Columns, t_steps: usize) -> Vec<f32> {
+    fn recur(&self, cols: &Columns<'_>, t_steps: usize) -> Vec<f32> {
         let batch = cols.batch;
         // Batch-major per-layer states: entry `k * batch + s`.
         let mut h_st: Vec<Vec<f32>> = self
@@ -723,8 +770,7 @@ impl Lstm {
             .collect();
         let mut c_st = h_st.clone();
         let h_max = self.layers.iter().map(|l| l.hidden).max().unwrap();
-        let (w_ih0, _, b0) = self.layers[0].split(self.layer_param(0));
-        let proj = cols.project(w_ih0, b0, 4 * self.layers[0].hidden);
+        let proj = cols.project(&self.input_weights());
         let mut z = vec![0.0f32; 4 * h_max * batch];
         let mut acc = vec![0.0f32; batch];
         for t in 0..t_steps {
@@ -808,11 +854,12 @@ impl Lstm {
     ) -> (Vec<f32>, LstmBatchCache) {
         assert_eq!(xs.len(), batch * t_steps * self.in_dim());
         assert!(batch >= 1);
+        let w_ih0 = self.input_weights();
         let parts = match lane_split(batch, self.forward_macs(t_steps, batch)) {
-            None => vec![self.forward_part(xs, t_steps, 0, batch)],
+            None => vec![self.forward_part(&w_ih0, xs, t_steps, 0, batch)],
             Some(mid) => std::thread::scope(|sc| {
-                let hi = sc.spawn(|| self.forward_part(xs, t_steps, mid, batch - mid));
-                let lo = self.forward_part(xs, t_steps, 0, mid);
+                let hi = sc.spawn(|| self.forward_part(&w_ih0, xs, t_steps, mid, batch - mid));
+                let lo = self.forward_part(&w_ih0, xs, t_steps, 0, mid);
                 vec![lo, hi.join().unwrap_or_else(|e| resume_unwind(e))]
             }),
         };
@@ -837,9 +884,22 @@ impl Lstm {
         )
     }
 
+    /// Layer 0's input weights and bias, as the projection reads them.
+    fn input_weights(&self) -> InputWeights<'_> {
+        let (w_ih, _, b) = self.layers[0].split(self.layer_param(0));
+        InputWeights::new(w_ih, b)
+    }
+
     /// The cached forward of lanes `start..start + batch` of the
-    /// sequence-major block `xs`.
-    fn forward_part(&self, xs: &[f32], t_steps: usize, start: usize, batch: usize) -> LanePart {
+    /// sequence-major block `xs`; `w_ih0` is [`Lstm::input_weights`].
+    fn forward_part(
+        &self,
+        w_ih0: &InputWeights<'_>,
+        xs: &[f32],
+        t_steps: usize,
+        start: usize,
+        batch: usize,
+    ) -> LanePart {
         let in_dim = self.in_dim();
         let xs = &xs[start * t_steps * in_dim..(start + batch) * t_steps * in_dim];
         let mut layer_caches: Vec<LstmLayerBatchCache> = self
@@ -852,36 +912,34 @@ impl Lstm {
             })
             .collect();
         let h_max = self.layers.iter().map(|l| l.hidden).max().unwrap();
-        let mut x0 = vec![0.0f32; in_dim * batch];
+        // Layer 0's `b + W_ih x`, projected per step from each input's
+        // nonzero features only (see [`Columns::project_step`]).
+        let cols = Columns::every_slot(xs, t_steps, batch, in_dim);
         let mut z = vec![0.0f32; 4 * h_max * batch];
         let mut acc = vec![0.0f32; batch];
         let zeros = vec![0.0f32; h_max * batch];
         for t in 0..t_steps {
-            for k in 0..in_dim {
-                for (s, x) in x0[k * batch..(k + 1) * batch].iter_mut().enumerate() {
-                    *x = xs[s * t_steps * in_dim + t * in_dim + k];
-                }
-            }
             for (l, shape) in self.layers.iter().enumerate() {
                 let h = shape.hidden;
                 let (w_ih, w_hh, b) = shape.split(self.layer_param(l));
                 let z = &mut z[..4 * h * batch];
-                for (r, &bv) in b.iter().enumerate() {
-                    z[r * batch..(r + 1) * batch].fill(bv);
-                }
                 let (below, cur) = layer_caches.split_at_mut(l);
-                let x_bm: &[f32] = if l == 0 {
-                    &x0
+                if l == 0 {
+                    cols.project_step(w_ih0, t, z);
                 } else {
-                    &below[l - 1].hs[t * shape.in_dim * batch..(t + 1) * shape.in_dim * batch]
-                };
+                    for (r, &bv) in b.iter().enumerate() {
+                        z[r * batch..(r + 1) * batch].fill(bv);
+                    }
+                    let x_bm =
+                        &below[l - 1].hs[t * shape.in_dim * batch..(t + 1) * shape.in_dim * batch];
+                    gemm_bm_acc(w_ih, x_bm, z, 4 * h, shape.in_dim, batch, &mut acc);
+                }
                 let cache = &mut cur[0];
                 let h_prev: &[f32] = if t == 0 {
                     &zeros[..h * batch]
                 } else {
                     &cache.hs[(t - 1) * h * batch..t * h * batch]
                 };
-                gemm_bm_acc(w_ih, x_bm, z, 4 * h, shape.in_dim, batch, &mut acc);
                 gemm_bm_acc(w_hh, h_prev, z, 4 * h, h, batch, &mut acc);
                 let (c_prev_all, c_new_all) = cache.cells.split_at_mut(t * h * batch);
                 let c_prev_all: &[f32] = if t == 0 {
@@ -944,6 +1002,11 @@ impl Lstm {
     /// two threads: each recurses through its own half, and after one
     /// barrier each replays half of every layer's gate rows over both
     /// halves.
+    ///
+    /// Layer 0's `W_ih` replay visits only the nonzero input features
+    /// ([`outer_acc_sparse`]). That is exact under one precondition,
+    /// which every caller meets by passing zeroed or accumulated
+    /// gradients: no layer-0 `W_ih` entry of `grads` starts at −0.0.
     pub fn backward_batch(
         &self,
         xs: &[f32],
@@ -959,9 +1022,9 @@ impl Lstm {
         assert_eq!(grads.len(), self.params.len());
         match &cache.parts[..] {
             [part] => {
-                let deltas = self.part_deltas(part, t, douts);
+                let deltas = self.part_deltas(part, xs, t, douts);
                 let (mut rows, _) = self.layer_grad_rows(grads, false);
-                self.replay_parts(xs, cache, &[&deltas], &mut rows);
+                self.replay_parts(cache, &[&deltas], &mut rows);
             }
             [lo, hi] => {
                 let (mut rows_lo, mut rows_hi) = self.layer_grad_rows(grads, true);
@@ -969,10 +1032,10 @@ impl Lstm {
                 let barrier = Barrier::new(2);
                 let half =
                     |part: &LanePart, mine: &OnceLock<PartDeltas>, rows: &mut [GradRows<'_>]| {
-                        let _ = mine.set(self.part_deltas(part, t, douts));
+                        let _ = mine.set(self.part_deltas(part, xs, t, douts));
                         barrier.wait();
                         let both = [&dz_lo, &dz_hi].map(|d| d.get().expect("both halves recursed"));
-                        self.replay_parts(xs, cache, &both, rows);
+                        self.replay_parts(cache, &both, rows);
                     };
                 std::thread::scope(|sc| {
                     let helper = sc.spawn(|| half(hi, &dz_hi, &mut rows_hi));
@@ -987,8 +1050,9 @@ impl Lstm {
     /// The delta recursion of one lane part through every layer. The
     /// bottom layer's input gradient is never computed (no caller reads
     /// it).
-    fn part_deltas(&self, part: &LanePart, t: usize, douts: &[f32]) -> PartDeltas {
+    fn part_deltas(&self, part: &LanePart, xs: &[f32], t: usize, douts: &[f32]) -> PartDeltas {
         let batch = part.batch;
+        let in_dim = self.in_dim();
         let h_top = self.out_dim();
         let douts = &douts[part.start * h_top..(part.start + batch) * h_top];
         // dh for the top layer, batch-major: only the last step receives
@@ -1011,6 +1075,7 @@ impl Lstm {
                 &part.layers[l],
                 &mut dh,
                 (l > 0).then_some(dxs.as_mut_slice()),
+                l == 0,
             );
             dh = dxs;
         }
@@ -1036,7 +1101,12 @@ impl Lstm {
                 seq
             })
             .collect();
-        PartDeltas { dz, hs }
+        let x0 = Nonzeros::by_column(
+            &xs[part.start * t * in_dim..(part.start + batch) * t * in_dim],
+            in_dim,
+            (0..batch).flat_map(|s| (0..t).rev().map(move |ti| s * t + ti)),
+        );
+        PartDeltas { dz, hs, x0 }
     }
 
     /// Every layer's gradient buffer, split at half its gate rows when
@@ -1064,19 +1134,17 @@ impl Lstm {
     /// `deltas[p]` is part `p`'s [`Lstm::part_deltas`].
     fn replay_parts(
         &self,
-        xs: &[f32],
         cache: &LstmBatchCache,
         deltas: &[&PartDeltas],
         rows: &mut [GradRows<'_>],
     ) {
         let t = cache.t_steps;
-        let in_dim = self.in_dim();
         for (l, (shape, g)) in self.layers.iter().zip(rows.iter_mut()).enumerate() {
             for (p, d) in cache.parts.iter().zip(deltas) {
-                let x: &[f32] = if l == 0 {
-                    &xs[p.start * t * in_dim..(p.start + p.batch) * t * in_dim]
+                let x = if l == 0 {
+                    ReplayInput::Sparse(&d.x0)
                 } else {
-                    &d.hs[l - 1]
+                    ReplayInput::Dense(&d.hs[l - 1])
                 };
                 shape.replay_rows(x, &d.hs[l], t, p.batch, &d.dz[l], g);
             }

@@ -382,7 +382,10 @@ impl SeqModel {
     /// scalar [`SeqModel::backward`] once per sequence, in batch order,
     /// into the same buffer — so a batched training step computes
     /// exactly the scalar step's gradient sum, only on batch-major
-    /// (vectorizable, weight-reusing) kernels.
+    /// (vectorizable, weight-reusing) kernels. The LSTM (and biLSTM)
+    /// replay of layer 0's input weights skips zero features, which
+    /// needs `grads` to hold no −0.0 there (zeroed or accumulated
+    /// gradients never do; see [`crate::lstm::Lstm::backward_batch`]).
     ///
     /// Panics if `cache` does not match the architecture.
     pub fn backward_batch(

@@ -435,6 +435,158 @@ fn replay_block<const R: usize, const W: usize>(
     }
 }
 
+/// Write the nonzero entries of `row` (not +0.0 or −0.0) to the front of
+/// `ks` (their positions, ascending) and `vs` (their values), both at
+/// least `row.len()` long; returns how many there are. Branch-free, as
+/// feature vectors mix zeros and nonzeros unpredictably.
+#[inline]
+pub(crate) fn compact_nonzeros(row: &[f32], ks: &mut [u32], vs: &mut [f32]) -> usize {
+    let (ks, vs) = (&mut ks[..row.len()], &mut vs[..row.len()]);
+    let mut m = 0;
+    for (k, &v) in row.iter().enumerate() {
+        ks[m] = k as u32;
+        vs[m] = v;
+        m += usize::from(v != 0.0);
+    }
+    m
+}
+
+/// The nonzero entries of a matrix, one flat list per column: list `k`
+/// holds `(row, value)` pairs in the order the rows were visited, and
+/// an entry equal to zero (+0.0 or −0.0) is never stored. The input of
+/// a gradient replay that skips zero features ([`outer_acc_sparse`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Nonzeros {
+    at: Vec<usize>,
+    idx: Vec<u32>,
+    val: Vec<f32>,
+}
+
+impl Nonzeros {
+    /// One list per column of the row-major `rows` (`dim` entries per
+    /// row): list `k` holds `(j, rows[j][k])` for every nonzero entry,
+    /// rows visited in `order`, which must name every row once.
+    pub(crate) fn by_column(
+        rows: &[f32],
+        dim: usize,
+        order: impl Iterator<Item = usize>,
+    ) -> Nonzeros {
+        let mut at = vec![0usize; dim + 1];
+        for row in rows.chunks_exact(dim) {
+            for (n, &v) in at[1..].iter_mut().zip(row) {
+                *n += usize::from(v != 0.0);
+            }
+        }
+        for k in 0..dim {
+            at[k + 1] += at[k];
+        }
+        let nnz = at[dim];
+        let mut next = at[..dim].to_vec();
+        let (mut idx, mut val) = (vec![0u32; nnz], vec![0.0f32; nnz]);
+        let mut seen = 0;
+        for j in order {
+            for (e, &v) in next.iter_mut().zip(&rows[j * dim..(j + 1) * dim]) {
+                if v != 0.0 {
+                    idx[*e] = j as u32;
+                    val[*e] = v;
+                    *e += 1;
+                }
+            }
+            seen += 1;
+        }
+        assert_eq!(seen * dim, rows.len(), "order must name every row once");
+        Nonzeros { at, idx, val }
+    }
+
+    /// Number of lists.
+    pub(crate) fn lists(&self) -> usize {
+        self.at.len() - 1
+    }
+
+    /// List `i`: its indices and values.
+    #[inline]
+    pub(crate) fn list(&self, i: usize) -> (&[u32], &[f32]) {
+        let (a, b) = (self.at[i], self.at[i + 1]);
+        (&self.idx[a..b], &self.val[a..b])
+    }
+}
+
+/// [`outer_acc_seq`] for updates whose `b` vectors are mostly zero,
+/// given as lists: `g` (`rows x cols` row-major) receives, for every
+/// column `k` and every entry `(j, v)` of `bs.list(k)` in list order,
+/// `g[r][k] += a_j[r] * v` for each row `r` with `a_j[r] != 0`, where
+/// `a_j` is `a[j * a_stride..][..rows]`.
+///
+/// This is exactly one [`outer_acc`] call per update in list order
+/// (zero-`a` skip included) with the `b` entries that are zero left
+/// out. Leaving out a term `a * 0` is exact when no entry of `g` starts
+/// at −0.0 and every `a` is finite: the term is ±0.0, and an
+/// accumulator that is not −0.0 never becomes −0.0 in round-to-nearest
+/// (a sum is −0.0 only when both terms are), so adding ±0.0 leaves it
+/// unchanged.
+///
+/// Each register block of gate rows stays in registers across all of a
+/// column's updates.
+pub(crate) fn outer_acc_sparse(
+    g: &mut [f32],
+    cols: usize,
+    bs: &Nonzeros,
+    a: &[f32],
+    a_stride: usize,
+) {
+    let rows = g.len().checked_div(cols).unwrap_or(0);
+    debug_assert_eq!(rows * cols, g.len());
+    debug_assert!(bs.lists() >= cols);
+    let mut r0 = 0;
+    while r0 + 32 <= rows {
+        sparse_replay_block::<32>(g, cols, bs, a, a_stride, r0);
+        r0 += 32;
+    }
+    while r0 + 8 <= rows {
+        sparse_replay_block::<8>(g, cols, bs, a, a_stride, r0);
+        r0 += 8;
+    }
+    while r0 < rows {
+        sparse_replay_block::<1>(g, cols, bs, a, a_stride, r0);
+        r0 += 1;
+    }
+}
+
+#[inline]
+fn sparse_replay_block<const R: usize>(
+    g: &mut [f32],
+    cols: usize,
+    bs: &Nonzeros,
+    a: &[f32],
+    a_stride: usize,
+    r0: usize,
+) {
+    for k in 0..cols {
+        let (js, vs) = bs.list(k);
+        if js.is_empty() {
+            continue;
+        }
+        let mut acc = [0.0f32; R];
+        for (ri, v) in acc.iter_mut().enumerate() {
+            *v = g[(r0 + ri) * cols + k];
+        }
+        for (&j, &v) in js.iter().zip(vs) {
+            let at = j as usize * a_stride + r0;
+            let av = &a[at..at + R];
+            for i in 0..R {
+                // The zero-`a` skip as a masked term, so the block
+                // vectorizes: adding +0.0 instead is a no-op on an
+                // accumulator that is not −0.0.
+                let p = av[i] * v;
+                acc[i] += if av[i] != 0.0 { p } else { 0.0 };
+            }
+        }
+        for (ri, &v) in acc.iter().enumerate() {
+            g[(r0 + ri) * cols + k] = v;
+        }
+    }
+}
+
 /// Dot product.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -851,6 +1003,78 @@ mod tests {
         let items: Vec<(usize, usize)> = (0..n).map(|j| (j, j * cols)).collect();
         let mut got = start;
         outer_acc_seq(&mut got, cols, &items, &coefs, n, &vecs);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "entry {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn nonzeros_by_column_lists_rows_in_the_given_order() {
+        // Rows 0..3 of width 3, visited 2, 0, 1; −0.0 is a zero.
+        let rows = [1.0f32, 0.0, -0.0, 0.0, 0.0, 0.0, 3.0, -0.0, 4.0];
+        let nz = Nonzeros::by_column(&rows, 3, [2, 0, 1].into_iter());
+        assert_eq!(nz.lists(), 3);
+        assert_eq!(nz.list(0), (&[2u32, 0][..], &[3.0f32, 1.0][..]));
+        assert_eq!(nz.list(1), (&[][..], &[][..]));
+        assert_eq!(nz.list(2), (&[2u32][..], &[4.0f32][..]));
+        let (mut ks, mut vs) = ([9u32; 3], [9.0f32; 3]);
+        assert_eq!(compact_nonzeros(&rows[6..], &mut ks, &mut vs), 2);
+        assert_eq!((&ks[..2], &vs[..2]), (&[0u32, 2][..], &[3.0f32, 4.0][..]));
+        assert_eq!(compact_nonzeros(&rows[3..6], &mut ks, &mut vs), 0);
+    }
+
+    #[test]
+    fn outer_acc_sparse_replays_outer_acc_bit_for_bit() {
+        // A share of 45 gate rows starting at row 7 of 60-row update
+        // vectors (45 = 32 + 8 + 5 runs every block width); 6 columns,
+        // column 1 all zeros (+0.0 and −0.0) and column 4 with no zero
+        // entry. Zero `a` entries against an infinite `b` entry pin the
+        // zero-`a` skip; starting entries are +0.0 or nonzero, never
+        // −0.0 (the documented precondition).
+        let (all_rows, first, rows, cols, n) = (60usize, 7usize, 45usize, 6usize, 23usize);
+        let a: Vec<f32> = (0..n * all_rows)
+            .map(|i| {
+                if i % 5 == 2 {
+                    0.0
+                } else {
+                    ((i * 37 % 41) as f32 - 20.0) * 0.031
+                }
+            })
+            .collect();
+        let b: Vec<f32> = (0..n * cols)
+            .map(|i| {
+                let (j, k) = (i / cols, i % cols);
+                match k {
+                    1 => [0.0, -0.0][j % 2],
+                    4 => ((i * 7 % 13) as f32 + 1.0) * 0.25,
+                    _ if i == 5 * cols + 2 => f32::INFINITY,
+                    _ if (i * 11) % 7 < 5 => [0.0, -0.0][j % 2],
+                    _ => ((i * 19 % 29) as f32 - 14.0) * 0.05,
+                }
+            })
+            .collect();
+        let start: Vec<f32> = (0..rows * cols)
+            .map(|i| {
+                if i % 3 == 0 {
+                    0.0
+                } else {
+                    i as f32 * 0.01 - 1.0
+                }
+            })
+            .collect();
+        // Updates replayed in a scrambled order, as the canonical
+        // (sequence ascending, timestep descending) order is.
+        let order: Vec<usize> = (0..n).map(|j| (j * 7) % n).collect();
+        let mut want = start.clone();
+        for &j in &order {
+            let aj = &a[j * all_rows + first..j * all_rows + first + rows];
+            outer_acc(&mut want, aj, &b[j * cols..(j + 1) * cols]);
+        }
+        let nz = Nonzeros::by_column(&b, cols, order.iter().copied());
+        assert_eq!(nz.list(1).0.len(), 0);
+        assert_eq!(nz.list(4).0.len(), n);
+        let mut got = start;
+        outer_acc_sparse(&mut got, cols, &nz, &a[first..], all_rows);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "entry {i}: {g} vs {w}");
         }

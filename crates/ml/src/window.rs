@@ -7,8 +7,12 @@
 //! recurrent model projects each distinct row through its bottom
 //! layer's input weights once per block (`Columns::distinct`) and
 //! lets every window that contains the row read the projected column.
+//!
+//! Instruction features are mostly zero (one-hot fields and empty
+//! register slots), so the projection visits only each column's nonzero
+//! features ([`Columns::project`]).
 
-use crate::tensor::gemm_bm_acc;
+use crate::tensor::compact_nonzeros;
 
 /// One window: a row-major `n x in_dim` feature matrix and the row the
 /// window ends at.
@@ -31,14 +35,12 @@ pub fn fill_windows(windows: &[Window<'_>], t: usize, in_dim: usize, xs: &mut Ve
     }
 }
 
-/// The bottom-layer input of a batched recurrent pass, as columns: `x`
-/// holds `n` input vectors batch-major (`in_dim x n`, entry
-/// `k * n + c`), and step `t` of lane `s` reads column
+/// The bottom-layer input of a batched recurrent pass, as columns:
+/// column `c` is the input vector `x[c]` (an empty slice is the all-zero
+/// padding column), and step `t` of lane `s` reads column
 /// `slot[t * batch + s]`.
-pub(crate) struct Columns {
-    x: Vec<f32>,
-    in_dim: usize,
-    n: usize,
+pub(crate) struct Columns<'a> {
+    x: Vec<&'a [f32]>,
     /// Lanes per step.
     pub(crate) batch: usize,
     slot: Vec<usize>,
@@ -47,7 +49,35 @@ pub(crate) struct Columns {
     run: Vec<Option<usize>>,
 }
 
-impl Columns {
+/// A layer's input weights `W` (`rows x in_dim`) and bias, as the
+/// projection reads them: `W` column-major (`W[:, k]` at `k * rows`).
+pub(crate) struct InputWeights<'w> {
+    w_cols: Vec<f32>,
+    b: &'w [f32],
+    in_dim: usize,
+}
+
+impl<'w> InputWeights<'w> {
+    /// Copy the row-major `w` (`b.len()` rows) column-major.
+    pub(crate) fn new(w: &[f32], b: &'w [f32]) -> InputWeights<'w> {
+        let rows = b.len();
+        let in_dim = w.len() / rows;
+        assert_eq!(w.len(), rows * in_dim);
+        let mut w_cols = vec![0.0f32; in_dim * rows];
+        for (r, wr) in w.chunks_exact(in_dim).enumerate() {
+            for (k, &v) in wr.iter().enumerate() {
+                w_cols[k * rows + r] = v;
+            }
+        }
+        InputWeights { w_cols, b, in_dim }
+    }
+
+    fn rows(&self) -> usize {
+        self.b.len()
+    }
+}
+
+impl<'a> Columns<'a> {
     /// One column per distinct row of `windows`, plus one all-zero
     /// column when some window reaches before row 0. A window whose
     /// rows continue the previous window's (same matrix, first row
@@ -55,7 +85,7 @@ impl Columns {
     /// columns, so a block of consecutive windows projects
     /// `batch + t - 1` columns instead of `batch * t`; any other window
     /// starts fresh columns.
-    pub(crate) fn distinct(windows: &[Window<'_>], t: usize, in_dim: usize) -> Columns {
+    pub(crate) fn distinct(windows: &[Window<'a>], t: usize, in_dim: usize) -> Columns<'a> {
         let batch = windows.len();
         // Runs of distinct rows: (matrix, first row, end row, first column).
         let mut runs: Vec<(&[f32], usize, usize, usize)> = Vec::new();
@@ -84,44 +114,33 @@ impl Columns {
                 slot[step * batch + s] = run.3 + (i + 1 + step - t - run.1);
             }
         }
+        // The runs number their columns consecutively, in run order.
+        let mut x: Vec<&[f32]> = runs
+            .iter()
+            .flat_map(|&(rows, lo, hi, _)| rows[lo * in_dim..hi * in_dim].chunks_exact(in_dim))
+            .collect();
         if slot.contains(&usize::MAX) {
             for c in slot.iter_mut().filter(|c| **c == usize::MAX) {
                 *c = n;
             }
-            n += 1;
+            x.push(&[]);
         }
-        let mut x = vec![0.0f32; in_dim * n];
-        for &(rows, lo, hi, c0) in &runs {
-            for (j, row) in rows[lo * in_dim..hi * in_dim]
-                .chunks_exact(in_dim)
-                .enumerate()
-            {
-                for (k, &v) in row.iter().enumerate() {
-                    x[k * n + c0 + j] = v;
-                }
-            }
-        }
-        Columns::new(x, in_dim, n, batch, slot)
+        Columns::new(x, batch, slot)
     }
 
     /// One column per (step, lane) slot of the sequence-major block
     /// `xs` (`batch` consecutive `t x in_dim` sequences), step-major so
     /// every step's lanes read consecutive columns.
-    pub(crate) fn every_slot(xs: &[f32], t: usize, batch: usize, in_dim: usize) -> Columns {
+    pub(crate) fn every_slot(xs: &'a [f32], t: usize, batch: usize, in_dim: usize) -> Columns<'a> {
         assert_eq!(xs.len(), batch * t * in_dim);
-        let n = t * batch;
-        let mut x = vec![0.0f32; in_dim * n];
-        for (s, seq) in xs.chunks_exact(t * in_dim).enumerate() {
-            for (step, row) in seq.chunks_exact(in_dim).enumerate() {
-                for (k, &v) in row.iter().enumerate() {
-                    x[k * n + step * batch + s] = v;
-                }
-            }
-        }
-        Columns::new(x, in_dim, n, batch, (0..n).collect())
+        let x = (0..t)
+            .flat_map(|step| (0..batch).map(move |s| (s * t + step) * in_dim))
+            .map(|at| &xs[at..at + in_dim])
+            .collect();
+        Columns::new(x, batch, (0..t * batch).collect())
     }
 
-    fn new(x: Vec<f32>, in_dim: usize, n: usize, batch: usize, slot: Vec<usize>) -> Columns {
+    fn new(x: Vec<&'a [f32]>, batch: usize, slot: Vec<usize>) -> Columns<'a> {
         let run = slot
             .chunks_exact(batch)
             .map(|lanes| {
@@ -135,33 +154,86 @@ impl Columns {
             .collect();
         Columns {
             x,
-            in_dim,
-            n,
             batch,
             slot,
             run,
         }
     }
 
-    /// `b + W x` for every column: a `rows x n` batch-major matrix. Each
-    /// entry is the bias plus one ascending-`k` sum started from +0.0
-    /// ([`gemm_bm_acc`], whose per-lane result depends on neither the
-    /// batch width nor the lane position) — exactly the prefix a scalar
-    /// step computes before it adds its recurrent term.
-    pub(crate) fn project(&self, w: &[f32], b: &[f32], rows: usize) -> Vec<f32> {
-        let mut p = vec![0.0f32; rows * self.n];
-        for (row, &bv) in p.chunks_exact_mut(self.n).zip(b) {
-            row.fill(bv);
-        }
-        let mut acc = vec![0.0f32; self.n];
-        gemm_bm_acc(w, &self.x, &mut p, rows, self.in_dim, self.n, &mut acc);
+    /// `b + W x` for every column: a `rows x n` batch-major matrix
+    /// ([`Columns::project_into`]).
+    pub(crate) fn project(&self, w: &InputWeights<'_>) -> Vec<f32> {
+        let n = self.x.len();
+        let mut p = vec![0.0f32; w.rows() * n];
+        self.project_into(w, n, |j| j, &mut p);
         p
+    }
+
+    /// `b + W x` for the columns step `t`'s lanes read, straight into
+    /// the batch-major `rows x batch` matrix `z` (for a pass that reads
+    /// every column once, where projecting ahead would only add a copy).
+    pub(crate) fn project_step(&self, w: &InputWeights<'_>, t: usize, z: &mut [f32]) {
+        let lanes = &self.slot[t * self.batch..(t + 1) * self.batch];
+        self.project_into(w, self.batch, |s| lanes[s], &mut z[..w.rows() * self.batch]);
+    }
+
+    /// `out[r][j] = b[r] + (W x[col(j)])[r]` for `j < count`, `out`
+    /// batch-major (`rows x count`).
+    ///
+    /// Per column, an accumulator over the `rows` outputs starts at
+    /// +0.0 and adds `W[:, k] * x_k` for the column's nonzero features,
+    /// `k` ascending; the bias is then added. That is the chain a
+    /// scalar step computes before it adds its recurrent term
+    /// ([`crate::tensor::gemv_acc`]: one ascending-`k` sum from +0.0,
+    /// added to the bias) with its `w * 0` terms left out, and leaving
+    /// them out changes no bit: each is ±0.0 for a finite weight, and a
+    /// sum started from +0.0 is never −0.0 in round-to-nearest (a sum
+    /// is −0.0 only when both terms are), so adding ±0.0 to it is a
+    /// no-op.
+    fn project_into(
+        &self,
+        w: &InputWeights<'_>,
+        count: usize,
+        col: impl Fn(usize) -> usize,
+        out: &mut [f32],
+    ) {
+        let rows = w.rows();
+        debug_assert_eq!(out.len(), rows * count);
+        // Columns are projected a block at a time into `q` (one column
+        // per `rows`-long row) and written out transposed, a contiguous
+        // run of `out` per output row (a fixed-width run for a full
+        // block, which compiles to far faster code).
+        const BLOCK: usize = 16;
+        let mut q = vec![0.0f32; BLOCK * rows];
+        let (mut ks, mut vs) = (vec![0u32; w.in_dim], vec![0.0f32; w.in_dim]);
+        for j0 in (0..count).step_by(BLOCK) {
+            let width = BLOCK.min(count - j0);
+            for (j, qc) in q.chunks_exact_mut(rows).take(width).enumerate() {
+                let m = compact_nonzeros(self.x[col(j0 + j)], &mut ks, &mut vs);
+                sparse_column(&w.w_cols, &ks[..m], &vs[..m], qc);
+            }
+            let out_rows = out.chunks_exact_mut(count).zip(w.b).enumerate();
+            if width == BLOCK {
+                for (r, (or, &bv)) in out_rows {
+                    let run: &mut [f32; BLOCK] = (&mut or[j0..j0 + BLOCK]).try_into().unwrap();
+                    for j in 0..BLOCK {
+                        run[j] = bv + q[j * rows + r];
+                    }
+                }
+            } else {
+                for (r, (or, &bv)) in out_rows {
+                    for (j, ov) in or[j0..j0 + width].iter_mut().enumerate() {
+                        *ov = bv + q[j * rows + r];
+                    }
+                }
+            }
+        }
     }
 
     /// Copy step `t`'s columns of the projection `p` (`rows x n`) into
     /// the batch-major `rows x batch` matrix `z`.
     pub(crate) fn gather(&self, p: &[f32], rows: usize, t: usize, z: &mut [f32]) {
-        let (n, batch) = (self.n, self.batch);
+        let (n, batch) = (self.x.len(), self.batch);
         let dst = z[..rows * batch].chunks_exact_mut(batch);
         match self.run[t] {
             Some(c0) => {
@@ -181,6 +253,47 @@ impl Columns {
     }
 }
 
+/// `out = W x` for one column `x` given by its nonzero features
+/// `(ks, vs)`: `w_cols` is `W` column-major (`W[:, k]` at
+/// `k * out.len()`). Blocks of output rows stay in registers across all
+/// of the column's features.
+fn sparse_column(w_cols: &[f32], ks: &[u32], vs: &[f32], out: &mut [f32]) {
+    let rows = out.len();
+    let mut r0 = 0;
+    while r0 + 32 <= rows {
+        sparse_column_block::<32>(w_cols, ks, vs, r0, out);
+        r0 += 32;
+    }
+    while r0 + 8 <= rows {
+        sparse_column_block::<8>(w_cols, ks, vs, r0, out);
+        r0 += 8;
+    }
+    while r0 < rows {
+        sparse_column_block::<1>(w_cols, ks, vs, r0, out);
+        r0 += 1;
+    }
+}
+
+#[inline]
+fn sparse_column_block<const R: usize>(
+    w_cols: &[f32],
+    ks: &[u32],
+    vs: &[f32],
+    r0: usize,
+    out: &mut [f32],
+) {
+    let rows = out.len();
+    let mut a = [0.0f32; R];
+    for (&k, &v) in ks.iter().zip(vs) {
+        let at = k as usize * rows + r0;
+        let w = &w_cols[at..at + R];
+        for i in 0..R {
+            a[i] += w[i] * v;
+        }
+    }
+    out[r0..r0 + R].copy_from_slice(&a);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,9 +303,13 @@ mod tests {
     }
 
     /// The input vector lane `s` reads at step `t`, through the columns.
-    fn column_of(c: &Columns, in_dim: usize, t: usize, s: usize) -> Vec<f32> {
-        let col = c.slot[t * c.batch + s];
-        (0..in_dim).map(|k| c.x[k * c.n + col]).collect()
+    fn column_of(c: &Columns<'_>, in_dim: usize, t: usize, s: usize) -> Vec<f32> {
+        let x = c.x[c.slot[t * c.batch + s]];
+        if x.is_empty() {
+            vec![0.0; in_dim]
+        } else {
+            x.to_vec()
+        }
     }
 
     #[test]
@@ -222,7 +339,7 @@ mod tests {
         }
         // a: rows 0..=8 once (row 8's window continues row 4's), then
         // 3..=6 fresh; b: 0..=5 once; plus the padding column.
-        assert_eq!(c.n, 9 + 4 + 6 + 1);
+        assert_eq!(c.x.len(), 9 + 4 + 6 + 1);
         assert!(c.run[0].is_none());
     }
 
@@ -232,9 +349,80 @@ mod tests {
         let a = matrix(40, in_dim, 0.0);
         let windows: Vec<Window<'_>> = (10..42 - 2).map(|i| (a.as_slice(), i)).collect();
         let c = Columns::distinct(&windows, t, in_dim);
-        assert_eq!(c.n, windows.len() + t - 1);
+        assert_eq!(c.x.len(), windows.len() + t - 1);
         assert!(c.run.iter().all(Option::is_some));
-        let every = Columns::every_slot(&vec![1.0; 5 * t * in_dim], t, 5, in_dim);
+        let ones = vec![1.0; 5 * t * in_dim];
+        let every = Columns::every_slot(&ones, t, 5, in_dim);
         assert!(every.run.iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn sparse_projection_is_bit_identical_to_gemm_bm_acc() {
+        // 45 output rows run the 32-, 8- and 1-wide blocks; 8 lanes of 3
+        // steps give 24 columns (one full block of 16 and a part block).
+        // Lane 0 is all zeros, lane 1's first step has no zero, the rest
+        // are three quarters zeros, some of them −0.0; a −0.0 bias row
+        // meets the all-zero columns. The same rows also run as windows,
+        // whose padding column is empty.
+        let (in_dim, rows, t, batch) = (7usize, 45usize, 3usize, 8usize);
+        let xs: Vec<f32> = (0..batch * t * in_dim)
+            .map(|i| {
+                let (s, k) = (i / (t * in_dim), i % in_dim);
+                let v = ((i * 37 % 23) as f32 - 11.0) * 0.13 + 0.01;
+                match s {
+                    0 => 0.0,
+                    1 if i / in_dim == t => v,
+                    _ if (i * 7 + k) % 4 != 0 => [0.0, -0.0][i % 2],
+                    _ => v,
+                }
+            })
+            .collect();
+        let w: Vec<f32> = (0..rows * in_dim)
+            .map(|i| ((i * 29 % 31) as f32 - 15.0) * 0.071)
+            .collect();
+        let b: Vec<f32> = (0..rows)
+            .map(|r| if r == 3 { -0.0 } else { r as f32 * 0.1 - 2.0 })
+            .collect();
+        let weights = InputWeights::new(&w, &b);
+        let n = t * batch;
+        let dense = |cols: &Columns<'_>| {
+            let n = cols.x.len();
+            let mut x_bm = vec![0.0f32; in_dim * n];
+            for (c, x) in cols.x.iter().enumerate() {
+                for (k, &v) in x.iter().enumerate() {
+                    x_bm[k * n + c] = v;
+                }
+            }
+            let mut want = vec![0.0f32; rows * n];
+            for (row, &bv) in want.chunks_exact_mut(n).zip(&b) {
+                row.fill(bv);
+            }
+            let mut acc = vec![0.0f32; n];
+            crate::tensor::gemm_bm_acc(&w, &x_bm, &mut want, rows, in_dim, n, &mut acc);
+            want
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let c = Columns::every_slot(&xs, t, batch, in_dim);
+        assert!(c.x[0].iter().all(|&v| v == 0.0));
+        assert!(c.x[1].iter().all(|&v| v != 0.0));
+        let want = dense(&c);
+        assert_eq!(bits(&c.project(&weights)), bits(&want));
+        // Step by step, straight into a batch-major `z`.
+        let mut z = vec![0.0f32; rows * batch];
+        for step in 0..t {
+            c.project_step(&weights, step, &mut z);
+            for r in 0..rows {
+                let at = r * n + step * batch;
+                assert_eq!(
+                    bits(&z[r * batch..(r + 1) * batch]),
+                    bits(&want[at..at + batch])
+                );
+            }
+        }
+        // Windows over the same rows, with the empty padding column.
+        let windows: Vec<Window<'_>> = (0..batch).map(|i| (xs.as_slice(), i)).collect();
+        let c = Columns::distinct(&windows, t, in_dim);
+        assert!(c.x.last().is_some_and(|x| x.is_empty()));
+        assert_eq!(bits(&c.project(&weights)), bits(&dense(&c)));
     }
 }

@@ -348,3 +348,124 @@ fn forward_windows_keeps_negative_zero_bias_rows_exact() {
         }
     }
 }
+
+/// Table-I-like inputs (`batch` sequences of `t` steps): per real step
+/// three one-hot fields, one or two small register slots among 16, two
+/// flags, feature `ONCE` set at exactly one step, −0.0 in a slot of
+/// every third step, and all other features zero — about 85% zeros
+/// overall. Each lane starts with `s % 4` all-zero padding steps, and
+/// lane 1's last step is fully dense. Odd lanes repeat the lane before
+/// them (their upstream gradients are negated, see
+/// [`paired_douts`]), so gradients that one step of each lane feeds
+/// cancel to exactly +0.0 pair by pair.
+fn table_i_inputs(batch: usize, t: usize, in_dim: usize) -> Vec<f32> {
+    const ONCE: usize = 30;
+    let mut xs = vec![0.0f32; batch * t * in_dim];
+    for s in 0..batch {
+        let src = s - s % 2;
+        for step in src % 4..t {
+            let h = (src * 31 + step * 17) as u64;
+            let x = &mut xs[(s * t + step) * in_dim..(s * t + step + 1) * in_dim];
+            x[(h % 8) as usize] = 1.0;
+            x[8 + (h % 16) as usize] = (h % 5 + 1) as f32 * 0.25;
+            if h.is_multiple_of(3) {
+                x[8 + ((h / 3) % 16) as usize] = 2.0;
+            }
+            x[20 + (h % 4) as usize] = 1.0;
+            x[32 + (h % 6) as usize] = 1.0;
+            x[45] = 1.0;
+            x[46] = (h % 3) as f32;
+            x[47 + (h % 4) as usize] = 0.5;
+            if step.is_multiple_of(3) {
+                x[24 + (h % 4) as usize] = -0.0;
+            }
+            if step == t - 1 {
+                x[ONCE] = 0.75;
+            }
+            if src == 0 && step == t - 1 {
+                for (k, v) in x.iter_mut().enumerate() {
+                    *v = 0.5 + (k % 7) as f32 * 0.125;
+                }
+            }
+        }
+    }
+    xs
+}
+
+/// [`batch_douts`] with every odd lane the negation of the lane before.
+fn paired_douts(batch: usize, d: usize) -> Vec<f32> {
+    let mut douts = batch_douts(batch, d);
+    for s in (1..batch).step_by(2) {
+        for k in 0..d {
+            douts[s * d + k] = -douts[(s - 1) * d + k];
+        }
+    }
+    douts
+}
+
+/// Give gate row 1 of every gate in the bottom layer of `m` (the first
+/// stack's, for a biLSTM) zero weights and a −0.0 bias.
+fn negative_zero_bias_rows(m: &mut SeqModel, gates: usize, hidden: usize) {
+    let in_dim = m.in_dim();
+    let mut p = m.get_params();
+    let (w_ih, w_hh) = (gates * hidden * in_dim, gates * hidden * hidden);
+    for g in 0..gates {
+        let r = g * hidden + 1;
+        p[r * in_dim..(r + 1) * in_dim].fill(0.0);
+        p[w_ih + r * hidden..w_ih + (r + 1) * hidden].fill(0.0);
+        p[w_ih + w_hh + r] = -0.0;
+    }
+    m.set_params(&p);
+}
+
+#[test]
+fn sparse_inputs_stay_bit_identical_to_per_sequence_passes() {
+    // Layer 0 skips zero features in the training passes (and in the
+    // projection of inference): every shape of zero must leave the
+    // batched results equal to the dense scalar passes, bit for bit.
+    // 32 and more lanes run as two lane halves on a multi-core machine.
+    let (in_dim, d, t) = (51usize, 32usize, 12usize);
+    for batch in [7usize, 16, 32, 33, 64] {
+        let xs = table_i_inputs(batch, t, in_dim);
+        let zeros = xs.iter().filter(|&&v| v == 0.0).count() as f64 / xs.len() as f64;
+        assert!((0.8..0.92).contains(&zeros), "zero share {zeros}");
+        let douts = paired_douts(batch, d);
+        let mut models = split_sized_models(in_dim, d);
+        negative_zero_bias_rows(&mut models[0], 4, d);
+        negative_zero_bias_rows(&mut models[1], 3, d);
+        negative_zero_bias_rows(&mut models[2], 4, d / 2);
+        for m in &models {
+            let (out, bcache) = m.forward_batch_cached(&xs, t, batch);
+            let mut g_bat = vec![0.0f32; m.num_params()];
+            m.backward_batch(&xs, t, batch, &bcache, &douts, &mut g_bat);
+            let mut g_ref = vec![0.0f32; m.num_params()];
+            for s in 0..batch {
+                let seq = &xs[s * t * in_dim..(s + 1) * t * in_dim];
+                let (single, cache) = m.forward(seq, t);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&out[s * d..(s + 1) * d]),
+                    bits(&single),
+                    "{} sequence {s} of batch {batch}",
+                    m.describe()
+                );
+                m.backward(seq, t, &cache, &douts[s * d..(s + 1) * d], &mut g_ref);
+            }
+            for (p, (a, b)) in g_ref.iter().zip(&g_bat).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{} batch {batch} param {p}: scalar {a} vs batched {b}",
+                    m.describe()
+                );
+            }
+            if m.as_lstm().is_some() && batch.is_multiple_of(2) {
+                // The pairs cancel: the `ONCE` column of layer 0's
+                // `W_ih` gradient ends at exactly +0.0.
+                for r in 0..4 * d {
+                    assert_eq!(g_bat[r * in_dim + 30].to_bits(), 0, "row {r}");
+                }
+            }
+        }
+    }
+}

@@ -10,13 +10,32 @@
 //! A batch whose executor panics, or returns the wrong number of
 //! results, fails every ticket in it with a [`BatchError`]; the worker
 //! survives and goes on to the next batch.
+//!
+//! Poisoned locks: a panic elsewhere in a worker (say, in a group key's
+//! `PartialEq` while the queue is drained) unwinds with the queue mutex
+//! held and poisons it. Every lock and wait recovers the guard
+//! ([`lock`], [`wait`]): the queue is only ever changed by whole
+//! `push_back`/`pop_front` calls, so it is consistent whatever unwound.
+//! A job taken off the queue that never gets a result fails its ticket
+//! with [`BatchError::Panicked`] when it is dropped, and the worker
+//! survives.
 
 use perfvec_obs::{Counter, Gauge, Histogram};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+
+/// Lock `m`, recovering the guard if a panic poisoned it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Wait on `cv`, recovering the guard if a panic poisoned its mutex.
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Sizing knobs for a [`Batcher`].
 #[derive(Debug, Clone, Copy)]
@@ -93,7 +112,7 @@ pub struct BatcherStats {
     pub max_batch: u64,
     /// Submissions rejected with [`SubmitError::QueueFull`].
     pub shed: u64,
-    /// Executor invocations that failed (see [`BatchError`]).
+    /// Batches that failed (see [`BatchError`]).
     pub failed: u64,
     /// Jobs currently queued (not yet draining).
     pub queue_depth: u64,
@@ -112,14 +131,42 @@ pub struct BatcherObs {
     pub shed: Arc<Counter>,
     /// Distribution of coalesced batch sizes.
     pub batch_size: Arc<Histogram>,
-    /// Counter of executor invocations that panicked or returned the
-    /// wrong number of results.
+    /// Counter of batches whose executor panicked or returned the wrong
+    /// number of results, or whose worker panicked draining them.
     pub failed: Arc<Counter>,
 }
 
 struct Slot<R> {
     result: Mutex<Option<Result<R, BatchError>>>,
     done: Condvar,
+}
+
+impl<R> Slot<R> {
+    fn deliver(&self, r: Result<R, BatchError>) {
+        *lock(&self.result) = Some(r);
+        self.done.notify_all();
+    }
+}
+
+/// The worker side of a [`Ticket`]: delivers exactly one result, and
+/// [`BatchError::Panicked`] if it is dropped without one (a panic
+/// unwound the worker that held it).
+struct Promise<R>(Option<Arc<Slot<R>>>);
+
+impl<R> Promise<R> {
+    fn fulfil(mut self, r: Result<R, BatchError>) {
+        if let Some(slot) = self.0.take() {
+            slot.deliver(r);
+        }
+    }
+}
+
+impl<R> Drop for Promise<R> {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.deliver(Err(BatchError::Panicked));
+        }
+    }
 }
 
 /// A claim on a submitted job's future result.
@@ -131,12 +178,12 @@ impl<R> Ticket<R> {
     /// Block until the worker pool delivers this job's result, or the
     /// error that failed its batch.
     pub fn wait(self) -> Result<R, BatchError> {
-        let mut guard = self.slot.result.lock().unwrap();
+        let mut guard = lock(&self.slot.result);
         loop {
             if let Some(r) = guard.take() {
                 return r;
             }
-            guard = self.slot.done.wait(guard).unwrap();
+            guard = wait(&self.slot.done, guard);
         }
     }
 }
@@ -144,7 +191,7 @@ impl<R> Ticket<R> {
 struct Pending<K, J, R> {
     key: K,
     job: J,
-    slot: Arc<Slot<R>>,
+    promise: Promise<R>,
 }
 
 struct Shared<K, J, R> {
@@ -230,7 +277,7 @@ where
             done: Condvar::new(),
         });
         {
-            let mut st = self.shared.state.lock().unwrap();
+            let mut st = lock(&self.shared.state);
             if st.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
@@ -242,7 +289,7 @@ where
             st.queue.push_back(Pending {
                 key,
                 job,
-                slot: Arc::clone(&slot),
+                promise: Promise(Some(Arc::clone(&slot))),
             });
             // set() (not inc/dec) so the gauge self-heals if recording
             // was toggled off and back on mid-flight.
@@ -260,14 +307,14 @@ where
             max_batch: self.shared.max_batch.load(Ordering::Relaxed),
             shed: self.shared.shed.load(Ordering::Relaxed),
             failed: self.shared.failed.load(Ordering::Relaxed),
-            queue_depth: self.shared.state.lock().unwrap().queue.len() as u64,
+            queue_depth: lock(&self.shared.state).queue.len() as u64,
         }
     }
 }
 
 impl<K, J, R> Drop for Batcher<K, J, R> {
     fn drop(&mut self) {
-        self.shared.state.lock().unwrap().shutdown = true;
+        lock(&self.shared.state).shutdown = true;
         self.shared.nonempty.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -277,73 +324,98 @@ impl<K, J, R> Drop for Batcher<K, J, R> {
 
 fn worker_loop<K, J, R, F>(shared: Arc<Shared<K, J, R>>, exec: Arc<F>, batch: usize)
 where
-    K: Eq + Clone,
+    K: Eq,
     F: Fn(&K, Vec<J>) -> Vec<R>,
 {
     loop {
-        // Drain up to `batch` jobs from the front while they share the
-        // front job's key. Stopping at the first key mismatch keeps the
-        // lock-held work O(batch) — the common single-model deployment
-        // never scans — and keeps dispatch FIFO-fair across models
-        // (same-key jobs parked behind another model's job wait for the
-        // next drain rather than jumping it).
-        let drained: Vec<Pending<K, J, R>> = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if !st.queue.is_empty() {
-                    break;
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = shared.nonempty.wait(st).unwrap();
-            }
-            let front_key = st.queue.front().unwrap().key.clone();
-            let mut taken = Vec::with_capacity(batch.min(st.queue.len()));
-            while taken.len() < batch && st.queue.front().is_some_and(|p| p.key == front_key) {
-                taken.push(st.queue.pop_front().unwrap());
-            }
-            shared.obs.queue_depth.set(st.queue.len() as i64);
-            taken
-        };
-
-        let key = drained[0].key.clone();
-        let n = drained.len() as u64;
-        let (jobs, slots): (Vec<J>, Vec<Arc<Slot<R>>>) =
-            drained.into_iter().map(|p| (p.job, p.slot)).unzip();
-        // `exec` holds none of the batcher's locks, so unwinding out of
-        // it leaves the queue and the counters consistent.
-        let results = match catch_unwind(AssertUnwindSafe(|| exec(&key, jobs))) {
-            Ok(r) if r.len() == slots.len() => Ok(r),
-            Ok(_) => Err(BatchError::WrongResultCount),
-            Err(_) => Err(BatchError::Panicked),
-        };
-        // Counters first: a client woken by the notify below may read
-        // stats() immediately, and completed work must already be
-        // visible there.
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-        shared.jobs.fetch_add(n, Ordering::Relaxed);
-        shared.max_batch.fetch_max(n, Ordering::Relaxed);
-        shared.obs.batch_size.record(n);
-        let deliver = |slot: &Slot<R>, r: Result<R, BatchError>| {
-            *slot.result.lock().unwrap() = Some(r);
-            slot.done.notify_all();
-        };
-        match results {
-            Ok(results) => {
-                for (slot, r) in slots.iter().zip(results) {
-                    deliver(slot, Ok(r));
-                }
-            }
-            Err(e) => {
+        // A panic outside `exec` (say, in a key's `PartialEq` during the
+        // drain) fails the jobs this worker holds, through their
+        // promises, and the worker goes on.
+        match catch_unwind(AssertUnwindSafe(|| serve_batch(&shared, &*exec, batch))) {
+            Ok(true) => {}
+            Ok(false) => return,
+            Err(_) => {
                 shared.failed.fetch_add(1, Ordering::Relaxed);
                 shared.obs.failed.inc();
-                for slot in &slots {
-                    deliver(slot, Err(e));
-                }
             }
         }
     }
+}
+
+/// Drain one batch and run it; `false` once the batcher shuts down with
+/// an empty queue.
+fn serve_batch<K, J, R, F>(shared: &Shared<K, J, R>, exec: &F, batch: usize) -> bool
+where
+    K: Eq,
+    F: Fn(&K, Vec<J>) -> Vec<R>,
+{
+    // Drain up to `batch` jobs from the front while they share the
+    // front job's key. Stopping at the first key mismatch keeps the
+    // lock-held work O(batch) — the common single-model deployment
+    // never scans — and keeps dispatch FIFO-fair across models
+    // (same-key jobs parked behind another model's job wait for the
+    // next drain rather than jumping it). The front job is taken before
+    // any key is compared, so every drain makes progress even if
+    // comparing keys panics.
+    let drained: Vec<Pending<K, J, R>> = {
+        let mut st = lock(&shared.state);
+        loop {
+            if !st.queue.is_empty() {
+                break;
+            }
+            if st.shutdown {
+                return false;
+            }
+            st = wait(&shared.nonempty, st);
+        }
+        let mut taken = Vec::with_capacity(batch.min(st.queue.len()));
+        taken.extend(st.queue.pop_front());
+        while taken.len() < batch && st.queue.front().is_some_and(|p| p.key == taken[0].key) {
+            taken.extend(st.queue.pop_front());
+        }
+        shared.obs.queue_depth.set(st.queue.len() as i64);
+        taken
+    };
+
+    let n = drained.len() as u64;
+    let mut key = None;
+    let (jobs, promises): (Vec<J>, Vec<Promise<R>>) = drained
+        .into_iter()
+        .map(|p| {
+            key.get_or_insert(p.key);
+            (p.job, p.promise)
+        })
+        .unzip();
+    let key = key.expect("a drain takes the front job");
+    // `exec` holds none of the batcher's locks, so unwinding out of
+    // it leaves the queue and the counters consistent.
+    let results = match catch_unwind(AssertUnwindSafe(|| exec(&key, jobs))) {
+        Ok(r) if r.len() == promises.len() => Ok(r),
+        Ok(_) => Err(BatchError::WrongResultCount),
+        Err(_) => Err(BatchError::Panicked),
+    };
+    // Counters first: a client woken by a delivery below may read
+    // stats() immediately, and completed work must already be visible
+    // there.
+    shared.batches.fetch_add(1, Ordering::Relaxed);
+    shared.jobs.fetch_add(n, Ordering::Relaxed);
+    shared.max_batch.fetch_max(n, Ordering::Relaxed);
+    shared.obs.batch_size.record(n);
+    match results {
+        Ok(results) => {
+            for (promise, r) in promises.into_iter().zip(results) {
+                promise.fulfil(Ok(r));
+            }
+        }
+        Err(e) => {
+            shared.failed.fetch_add(1, Ordering::Relaxed);
+            shared.obs.failed.inc();
+            for promise in promises {
+                promise.fulfil(Err(e));
+            }
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -540,5 +612,70 @@ mod tests {
         }
         assert_eq!(b.submit(0, 8).unwrap().wait(), Ok(8));
         assert_eq!(b.stats().failed, 1);
+    }
+
+    /// A group key whose comparison panics once armed.
+    #[derive(Clone)]
+    struct TrapKey(Arc<std::sync::atomic::AtomicBool>);
+
+    impl PartialEq for TrapKey {
+        fn eq(&self, _: &TrapKey) -> bool {
+            assert!(
+                !self.0.swap(false, Ordering::SeqCst),
+                "injected key comparison panic"
+            );
+            true
+        }
+    }
+
+    impl Eq for TrapKey {}
+
+    /// Wait for `t` on another thread, giving up after ten seconds (a
+    /// ticket that never resolves fails the test instead of hanging it).
+    fn wait_bounded<R: Send + 'static>(t: Ticket<R>) -> Result<R, BatchError> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(t.wait()));
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("ticket never resolved")
+    }
+
+    #[test]
+    fn a_panicking_key_comparison_fails_only_the_drained_job_and_the_worker_serves_on() {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g2 = Arc::clone(&gate);
+        let b: Batcher<TrapKey, u32, u32> = Batcher::new(
+            BatcherConfig {
+                batch: 8,
+                queue_depth: 64,
+                workers: 1,
+            },
+            move |_, jobs| {
+                let (lock, cv) = &*g2;
+                let mut open = lock.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+                jobs
+            },
+        );
+        let trap = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let key = TrapKey(Arc::clone(&trap));
+        // Job 0 occupies the worker at the gate; 1, 2 and 3 queue up.
+        let t0 = b.submit(key.clone(), 0).unwrap();
+        while !lock(&b.shared.state).queue.is_empty() {
+            std::thread::yield_now();
+        }
+        let queued: Vec<_> = [1, 2, 3].map(|j| b.submit(key.clone(), j).unwrap()).into();
+        // The next drain takes job 1, then panics comparing job 2's key
+        // with the queue mutex held.
+        trap.store(true, Ordering::SeqCst);
+        open(&gate);
+        assert_eq!(wait_bounded(t0), Ok(0));
+        let got: Vec<_> = queued.into_iter().map(wait_bounded).collect();
+        assert_eq!(got, [Err(BatchError::Panicked), Ok(2), Ok(3)]);
+        // The poisoned queue lock is recovered: the same worker serves on.
+        assert_eq!(wait_bounded(b.submit(key, 4).unwrap()), Ok(4));
+        let stats = b.stats();
+        assert_eq!((stats.failed, stats.jobs), (1, 4));
     }
 }
