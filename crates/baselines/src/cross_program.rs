@@ -37,7 +37,7 @@ fn features(sig: &[f32], config: &MicroArchConfig) -> Vec<f64> {
     f
 }
 
-/// The fitted cross-program model (linear in [`features`], predicting
+/// The fitted cross-program model (linear in its `features`, predicting
 /// log-time for positivity).
 pub struct CrossProgramModel {
     w: Vec<f64>,

@@ -30,7 +30,7 @@ pub fn error_chart(title: &str, rows: &[EvalRow]) -> String {
     out
 }
 
-/// Render a labelled bar chart of (label, value-in-[0,1]) pairs — the
+/// Render a labelled bar chart of (label, value in `[0, 1]`) pairs — the
 /// Figure 6 style.
 pub fn bar_chart(title: &str, unit: &str, series: &[(String, f64)]) -> String {
     let mut out = String::new();

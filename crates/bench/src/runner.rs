@@ -36,7 +36,7 @@ impl From<String> for RunError {
 }
 
 /// Run one spec to completion, returning the filled report (not yet
-/// written to disk — see [`finish`]).
+/// written to disk — see [`execute`]).
 pub fn run(spec: &ExperimentSpec) -> Result<Report, RunError> {
     spec.validate().map_err(RunError)?;
     let mut report = Report::new();

@@ -15,6 +15,7 @@
 use crate::foundation::{ArchKind, ArchSpec, Foundation};
 use crate::march_table::MarchTable;
 use bytesless::{get_f32s, put_f32s};
+use perfvec_ml::seq::SeqModel;
 
 const MAGIC: u32 = 0x5046_4d31; // "PFM1"
 const SNAP_MAGIC: u32 = 0x5046_5331; // "PFS1"
@@ -205,6 +206,10 @@ pub fn decode(buf: &[u8]) -> Result<(Foundation, ArchSpec, Option<MarchTable>), 
     let dim = bytesless::get_u32(buf, &mut off).ok_or(CheckpointError::Truncated)? as usize;
     let context = bytesless::get_u32(buf, &mut off).ok_or(CheckpointError::Truncated)? as usize;
     if layers == 0 || layers > MAX_LAYERS || dim == 0 || dim > MAX_DIM || context > MAX_CONTEXT {
+        return Err(CheckpointError::BadHeader);
+    }
+    // A width no head count divides cannot be built.
+    if kind == ArchKind::Transformer && SeqModel::transformer_heads(dim).is_none() {
         return Err(CheckpointError::BadHeader);
     }
     let target_scale =
@@ -582,6 +587,40 @@ mod tests {
         let mut bytes = valid;
         bytes[12..16].copy_from_slice(&1024u32.to_le_bytes());
         assert!(matches!(decode(&bytes), Err(CheckpointError::Truncated)));
+        // A Transformer width no head count divides (an odd one) would
+        // panic the model build; the header is rejected first, also
+        // inside a snapshot.
+        let spec = ArchSpec {
+            kind: ArchKind::Transformer,
+            layers: 1,
+            dim: 8,
+        };
+        let f = Foundation::new(spec, 4, 0.5, 42);
+        let valid = encode(&f, spec, None);
+        let mut snap = sample_snapshot();
+        (snap.foundation, snap.spec, snap.table) = (f, spec, MarchTable::new(3, 8, 9));
+        let total = snap.foundation.model.num_params() + snap.table.num_params();
+        snap.adam_m = vec![0.0; total];
+        snap.adam_v = vec![0.0; total];
+        snap.best_params = vec![0.0; total];
+        let valid_snap = encode_snapshot(&snap);
+        assert!(decode_snapshot(&valid_snap).is_ok());
+        for dim in [7u32, 5, 3, 1] {
+            let mut bytes = valid.clone();
+            bytes[12..16].copy_from_slice(&dim.to_le_bytes());
+            assert!(
+                matches!(decode(&bytes), Err(CheckpointError::BadHeader)),
+                "dim {dim}"
+            );
+            // The snapshot's inner checkpoint starts after its magic and
+            // length prefix.
+            let mut bytes = valid_snap.clone();
+            bytes[8 + 12..8 + 16].copy_from_slice(&dim.to_le_bytes());
+            assert!(
+                matches!(decode_snapshot(&bytes), Err(CheckpointError::BadHeader)),
+                "snapshot dim {dim}"
+            );
+        }
     }
 
     fn sample_snapshot() -> TrainSnapshot {

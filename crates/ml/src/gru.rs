@@ -2,14 +2,14 @@
 //! architectures).
 
 use crate::init::seeded_rng;
-use crate::window::{Columns, InputWeights, Window};
+use crate::window::{store_slots, Columns, InputWeights, Window};
 // Fast activations by design: scalar and batched paths share the same
 // straight-line-arithmetic functions so batched inference stays
 // bit-identical to scalar inference while its inner loops vectorize
 // (see `tensor::tanh_apx`).
-use crate::tensor::{for_lane_chunks, BatchInput};
 use crate::tensor::{
-    gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc, outer_acc, sigmoid_apx, tanh_apx,
+    bm_to_seq, fill_rows_bm, for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc,
+    outer_acc, seq_to_bm, sigmoid_apx, tanh_apx, BatchInput,
 };
 
 /// Shape of one GRU layer.
@@ -206,47 +206,28 @@ impl GruLayerShape {
 
 /// One GRU gate-activation chunk of compile-time width `L` (all slices
 /// have length `L`); element math identical to the scalar path:
-/// `r,z` sigmoids, `n = tanh(z_n + r·(U_n h))`, `h = (1-z)n + z·h`.
+/// `r,z` sigmoids, `n = tanh(z_n + r·(U_n h_prev))`,
+/// `h = (1-z)n + z·h_prev`. With `KEEP` (a pass that keeps every step
+/// for backward) the post-activation gates overwrite their
+/// pre-activations in place.
 #[inline]
-fn gru_gates_chunk<const L: usize>(
-    zr: &[f32],
-    zz: &[f32],
-    zn: &[f32],
-    un_row: &[f32],
-    h_row: &mut [f32],
-) {
-    for s in 0..L {
-        let r = sigmoid_apx(zr[s]);
-        let z = sigmoid_apx(zz[s]);
-        let n = tanh_apx(zn[s] + r * un_row[s]);
-        h_row[s] = (1.0 - z) * n + z * h_row[s];
-    }
-}
-
-/// The training variant of [`gru_gates_chunk`]: identical element math,
-/// with `h_prev` read separately from the written `h_new` (the cache
-/// keeps every timestep) and the post-activation gates stored for
-/// backward.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn gru_gates_chunk_cached<const L: usize>(
-    zr: &[f32],
-    zz: &[f32],
-    zn: &[f32],
+fn gru_gates_chunk<const L: usize, const KEEP: bool>(
+    zr: &mut [f32],
+    zz: &mut [f32],
+    zn: &mut [f32],
     un_row: &[f32],
     h_prev: &[f32],
     h_new: &mut [f32],
-    gr: &mut [f32],
-    gz: &mut [f32],
-    gn: &mut [f32],
 ) {
     for s in 0..L {
         let r = sigmoid_apx(zr[s]);
         let z = sigmoid_apx(zz[s]);
         let n = tanh_apx(zn[s] + r * un_row[s]);
-        gr[s] = r;
-        gz[s] = z;
-        gn[s] = n;
+        if KEEP {
+            zr[s] = r;
+            zz[s] = z;
+            zn[s] = n;
+        }
         h_new[s] = (1.0 - z) * n + z * h_prev[s];
     }
 }
@@ -290,7 +271,8 @@ fn gru_bwd_chunk<const L: usize>(
 
 /// Batch-major forward activations of one GRU layer (layout as in
 /// [`crate::lstm::LstmLayerBatchCache`]: row `r` of step `t` at
-/// `t * rows * batch + r * batch + s`).
+/// `t * rows * batch + r * batch + s`, and a one-step pass keeps a
+/// second, all-zero step after its one step).
 #[derive(Debug, Clone)]
 pub struct GruLayerBatchCache {
     /// `T x 3h x batch`: post-activation `r, z, n`.
@@ -324,8 +306,7 @@ impl GruBatchCache {
 impl GruLayerShape {
     /// Batch-major full-sequence backward over a [`GruLayerBatchCache`]
     /// (the lockstep mirror of [`GruLayerShape::backward`]; same
-    /// bit-identity contract as
-    /// [`crate::lstm::LstmLayerShape::backward_batch`]).
+    /// bit-identity contract as [`crate::lstm::Lstm::backward_batch`]).
     #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(
         &self,
@@ -542,9 +523,14 @@ impl Gru {
         &mut self.params
     }
 
-    fn layer_param(&self, l: usize) -> &[f32] {
+    /// Layer `l`'s share of the flat parameters (and of a gradient).
+    fn layer_range(&self, l: usize) -> std::ops::Range<usize> {
         let off: usize = self.layers[..l].iter().map(|s| s.param_len()).sum();
-        &self.params[off..off + self.layers[l].param_len()]
+        off..off + self.layers[l].param_len()
+    }
+
+    fn layer_param(&self, l: usize) -> &[f32] {
+        &self.params[self.layer_range(l)]
     }
 
     /// Full-sequence forward; returns the final hidden vector and cache.
@@ -592,10 +578,8 @@ impl Gru {
     /// layouts, same bit-identical-per-sequence guarantee).
     pub fn forward_batch(&self, xs: &[f32], t_steps: usize, batch: usize) -> Vec<f32> {
         assert!(batch >= 1);
-        self.recur(
-            &Columns::every_slot(xs, t_steps, batch, self.in_dim()),
-            t_steps,
-        )
+        let cols = Columns::every_slot(xs, t_steps, batch, self.in_dim());
+        self.recur::<false>(&self.input_weights(), &cols, t_steps).0
     }
 
     /// [`Gru::forward_batch`] over `windows` of `t_steps` steps each,
@@ -603,88 +587,8 @@ impl Gru {
     /// [`crate::lstm::Lstm::forward_windows`]; same guarantee).
     pub(crate) fn forward_windows(&self, windows: &[Window<'_>], t_steps: usize) -> Vec<f32> {
         assert!(!windows.is_empty());
-        self.recur(&Columns::distinct(windows, t_steps, self.in_dim()), t_steps)
-    }
-
-    /// The batched recurrence over layer-0 input columns `cols`: layer
-    /// 0's `b + W_ih x` comes projected per column, and the recurrent
-    /// gemms are skipped at `t = 0` (exact for the reasons given on
-    /// [`crate::lstm::Lstm`]'s recurrence; `U_n h` is then the +0.0 a
-    /// zero-state gemm leaves).
-    fn recur(&self, cols: &Columns<'_>, t_steps: usize) -> Vec<f32> {
-        let batch = cols.batch;
-        let mut h_st: Vec<Vec<f32>> = self
-            .layers
-            .iter()
-            .map(|l| vec![0.0f32; l.hidden * batch])
-            .collect();
-        let h_max = self.layers.iter().map(|l| l.hidden).max().unwrap();
-        let (w_ih0, _, b0) = self.layers[0].split(self.layer_param(0));
-        let proj = cols.project(&InputWeights::new(w_ih0, b0));
-        let mut zx = vec![0.0f32; 3 * h_max * batch];
-        let mut un = vec![0.0f32; h_max * batch];
-        let mut acc = vec![0.0f32; batch];
-        for t in 0..t_steps {
-            for (l, shape) in self.layers.iter().enumerate() {
-                let h = shape.hidden;
-                let (w_ih, w_hh, b) = shape.split(self.layer_param(l));
-                let (w_hr, rest) = w_hh.split_at(h * h);
-                let (w_hz, w_hn) = rest.split_at(h * h);
-                let zx = &mut zx[..3 * h * batch];
-                let (below, cur) = h_st.split_at_mut(l);
-                if l == 0 {
-                    cols.gather(&proj, 3 * h, t, zx);
-                } else {
-                    for (r, &bv) in b.iter().enumerate() {
-                        zx[r * batch..(r + 1) * batch].fill(bv);
-                    }
-                    gemm_bm_acc(
-                        w_ih,
-                        &below[l - 1],
-                        zx,
-                        3 * h,
-                        shape.in_dim,
-                        batch,
-                        &mut acc,
-                    );
-                }
-                let h_cur = &mut cur[0];
-                let un = &mut un[..h * batch];
-                un.fill(0.0);
-                if t > 0 {
-                    let (zr, zz) = zx[..2 * h * batch].split_at_mut(h * batch);
-                    gemm_bm_acc(w_hr, h_cur, zr, h, h, batch, &mut acc);
-                    gemm_bm_acc(w_hz, h_cur, zz, h, h, batch, &mut acc);
-                    gemm_bm_acc(w_hn, h_cur, un, h, h, batch, &mut acc);
-                }
-                // Per-k row slices, processed in fixed-width chunks so
-                // the gate math reliably compiles to SIMD (see the
-                // LSTM's `gates_chunk`); identical math at any width.
-                for k in 0..h {
-                    let zr = &zx[k * batch..(k + 1) * batch];
-                    let zz = &zx[(h + k) * batch..(h + k + 1) * batch];
-                    let zn = &zx[(2 * h + k) * batch..(2 * h + k + 1) * batch];
-                    let un_row = &un[k * batch..(k + 1) * batch];
-                    let h_row = &mut h_cur[k * batch..(k + 1) * batch];
-                    for_lane_chunks!(batch, s, LW => gru_gates_chunk::<LW>(
-                        &zr[s..s + LW],
-                        &zz[s..s + LW],
-                        &zn[s..s + LW],
-                        &un_row[s..s + LW],
-                        &mut h_row[s..s + LW],
-                    ));
-                }
-            }
-        }
-        let d = self.out_dim();
-        let top = &h_st[self.layers.len() - 1];
-        let mut out = vec![0.0f32; batch * d];
-        for s in 0..batch {
-            for k in 0..d {
-                out[s * d + k] = top[k * batch + s];
-            }
-        }
-        out
+        let cols = Columns::distinct(windows, t_steps, self.in_dim());
+        self.recur::<false>(&self.input_weights(), &cols, t_steps).0
     }
 
     /// Batched full-sequence forward that also retains every layer's
@@ -697,110 +601,9 @@ impl Gru {
         t_steps: usize,
         batch: usize,
     ) -> (Vec<f32>, GruBatchCache) {
-        let in_dim = self.in_dim();
-        debug_assert_eq!(xs.len(), batch * t_steps * in_dim);
         assert!(batch >= 1);
-        let mut layer_caches: Vec<GruLayerBatchCache> = self
-            .layers
-            .iter()
-            .map(|l| GruLayerBatchCache {
-                gates: vec![0.0; t_steps * 3 * l.hidden * batch],
-                un_h: vec![0.0; t_steps * l.hidden * batch],
-                hs: vec![0.0; t_steps * l.hidden * batch],
-            })
-            .collect();
-        let h_max = self.layers.iter().map(|l| l.hidden).max().unwrap();
-        let mut x0 = vec![0.0f32; in_dim * batch];
-        let mut zx = vec![0.0f32; 3 * h_max * batch];
-        let mut acc = vec![0.0f32; batch];
-        let zeros = vec![0.0f32; h_max * batch];
-        for t in 0..t_steps {
-            for k in 0..in_dim {
-                for (s, x) in x0[k * batch..(k + 1) * batch].iter_mut().enumerate() {
-                    *x = xs[s * t_steps * in_dim + t * in_dim + k];
-                }
-            }
-            for (l, shape) in self.layers.iter().enumerate() {
-                let h = shape.hidden;
-                let (w_ih, w_hh, b) = shape.split(self.layer_param(l));
-                let (w_hr, rest) = w_hh.split_at(h * h);
-                let (w_hz, w_hn) = rest.split_at(h * h);
-                let zx = &mut zx[..3 * h * batch];
-                for (r, &bv) in b.iter().enumerate() {
-                    zx[r * batch..(r + 1) * batch].fill(bv);
-                }
-                let (below, cur) = layer_caches.split_at_mut(l);
-                let x_bm: &[f32] = if l == 0 {
-                    &x0
-                } else {
-                    &below[l - 1].hs[t * shape.in_dim * batch..(t + 1) * shape.in_dim * batch]
-                };
-                let cache = &mut cur[0];
-                let h_prev: &[f32] = if t == 0 {
-                    &zeros[..h * batch]
-                } else {
-                    &cache.hs[(t - 1) * h * batch..t * h * batch]
-                };
-                gemm_bm_acc(w_ih, x_bm, zx, 3 * h, shape.in_dim, batch, &mut acc);
-                gemm_bm_acc(w_hr, h_prev, &mut zx[..h * batch], h, h, batch, &mut acc);
-                gemm_bm_acc(
-                    w_hz,
-                    h_prev,
-                    &mut zx[h * batch..2 * h * batch],
-                    h,
-                    h,
-                    batch,
-                    &mut acc,
-                );
-                let un = &mut cache.un_h[t * h * batch..(t + 1) * h * batch];
-                gemm_bm_acc(w_hn, h_prev, un, h, h, batch, &mut acc);
-                let un = &cache.un_h[t * h * batch..(t + 1) * h * batch];
-                let h_new_off = t * h * batch;
-                let gates_off = t * 3 * h * batch;
-                for k in 0..h {
-                    let zr = &zx[k * batch..(k + 1) * batch];
-                    let zz = &zx[(h + k) * batch..(h + k + 1) * batch];
-                    let zn = &zx[(2 * h + k) * batch..(2 * h + k + 1) * batch];
-                    let un_row = &un[k * batch..(k + 1) * batch];
-                    // Split hs so h_prev (shared) and h_new (mutable)
-                    // can coexist: everything before step t is frozen.
-                    let (hs_prev, hs_new) = cache.hs.split_at_mut(h_new_off);
-                    let hp: &[f32] = if t == 0 {
-                        &zeros[k * batch..(k + 1) * batch]
-                    } else {
-                        &hs_prev
-                            [(t - 1) * h * batch + k * batch..(t - 1) * h * batch + (k + 1) * batch]
-                    };
-                    let hn = &mut hs_new[k * batch..(k + 1) * batch];
-                    let (g_r, g_rest) =
-                        cache.gates[gates_off..gates_off + 3 * h * batch].split_at_mut(h * batch);
-                    let (g_z, g_n) = g_rest.split_at_mut(h * batch);
-                    let gr = &mut g_r[k * batch..(k + 1) * batch];
-                    let gz = &mut g_z[k * batch..(k + 1) * batch];
-                    let gn = &mut g_n[k * batch..(k + 1) * batch];
-                    for_lane_chunks!(batch, s, LW => gru_gates_chunk_cached::<LW>(
-                        &zr[s..s + LW],
-                        &zz[s..s + LW],
-                        &zn[s..s + LW],
-                        &un_row[s..s + LW],
-                        &hp[s..s + LW],
-                        &mut hn[s..s + LW],
-                        &mut gr[s..s + LW],
-                        &mut gz[s..s + LW],
-                        &mut gn[s..s + LW],
-                    ));
-                }
-            }
-        }
-        let d = self.out_dim();
-        let top = &layer_caches[self.layers.len() - 1];
-        let top_hs = &top.hs[(t_steps - 1) * d * batch..t_steps * d * batch];
-        let mut out = vec![0.0f32; batch * d];
-        for s in 0..batch {
-            for k in 0..d {
-                out[s * d + k] = top_hs[k * batch + s];
-            }
-        }
+        let cols = Columns::every_slot(xs, t_steps, batch, self.in_dim());
+        let (out, layer_caches) = self.recur::<true>(&self.input_weights(), &cols, t_steps);
         (
             out,
             GruBatchCache {
@@ -809,6 +612,114 @@ impl Gru {
                 batch,
             },
         )
+    }
+
+    /// Layer 0's input weights and bias, as the projection reads them.
+    fn input_weights(&self) -> InputWeights<'_> {
+        let (w_ih, _, b) = self.layers[0].split(self.layer_param(0));
+        InputWeights::new(w_ih, b)
+    }
+
+    /// The batched recurrence: the one forward kernel of every batched
+    /// GRU pass (see [`crate::lstm::Lstm`]'s `recur`: the same inputs,
+    /// step store and returns; a store here keeps gates, `U_n h`
+    /// products and hidden states). The recurrent gemms are skipped at
+    /// `t = 0` (exact for the reasons given there; `U_n h` is then the
+    /// +0.0 a zero-state gemm leaves).
+    fn recur<const ALL: bool>(
+        &self,
+        w_ih0: &InputWeights<'_>,
+        cols: &Columns<'_>,
+        t_steps: usize,
+    ) -> (Vec<f32>, Vec<GruLayerBatchCache>) {
+        let batch = cols.batch;
+        let slots = store_slots(ALL, t_steps);
+        let mut store: Vec<GruLayerBatchCache> = self
+            .layers
+            .iter()
+            .map(|l| {
+                let n = l.hidden * batch;
+                let kept = if ALL { slots * n } else { 0 };
+                GruLayerBatchCache {
+                    gates: vec![0.0; 3 * kept],
+                    un_h: vec![0.0; kept],
+                    hs: vec![0.0; slots * n],
+                }
+            })
+            .collect();
+        // Step `t`'s pre-activations and `U_n h` are computed in its
+        // slots, or for a ring store in one scratch buffer all layers
+        // share.
+        let h_max = self.layers.iter().map(|l| l.hidden).max().unwrap();
+        let mut scratch = vec![0.0f32; if ALL { 0 } else { 4 * h_max * batch }];
+        let x0 = cols.input(w_ih0);
+        let mut acc = vec![0.0f32; batch];
+        for t in 0..t_steps {
+            let (prev, cur) = ((t + slots - 1) % slots, t % slots);
+            for (l, shape) in self.layers.iter().enumerate() {
+                let (h, n) = (shape.hidden, shape.hidden * batch);
+                let (w_ih, w_hh, b) = shape.split(self.layer_param(l));
+                let (w_hr, rest) = w_hh.split_at(h * h);
+                let (w_hz, w_hn) = rest.split_at(h * h);
+                let (below, this) = store.split_at_mut(l);
+                let this = &mut this[0];
+                let (z, un) = if ALL {
+                    (
+                        &mut this.gates[cur * 3 * n..][..3 * n],
+                        &mut this.un_h[cur * n..][..n],
+                    )
+                } else {
+                    scratch[..4 * n].split_at_mut(3 * n)
+                };
+                if l == 0 {
+                    x0.step(t, z);
+                } else {
+                    let m = shape.in_dim * batch;
+                    fill_rows_bm(z, b, batch);
+                    let x = &below[l - 1].hs[cur * m..][..m];
+                    gemm_bm_acc(w_ih, x, z, 3 * h, shape.in_dim, batch, &mut acc);
+                }
+                un.fill(0.0);
+                let [h_prev, h_new] = this
+                    .hs
+                    .get_disjoint_mut([prev * n..(prev + 1) * n, cur * n..(cur + 1) * n])
+                    .expect("a store keeps at least two slots");
+                let (zr, rest) = z.split_at_mut(n);
+                let (zz, zn) = rest.split_at_mut(n);
+                if t > 0 {
+                    gemm_bm_acc(w_hr, h_prev, zr, h, h, batch, &mut acc);
+                    gemm_bm_acc(w_hz, h_prev, zz, h, h, batch, &mut acc);
+                    gemm_bm_acc(w_hn, h_prev, un, h, h, batch, &mut acc);
+                }
+                // Per-k row slices, processed in fixed-width chunks so
+                // the gate math reliably compiles to SIMD (see the
+                // LSTM's `gates_chunk`); identical math at any width.
+                for k in 0..h {
+                    let row = k * batch..(k + 1) * batch;
+                    let (zr, zz, zn) = (
+                        &mut zr[row.clone()],
+                        &mut zz[row.clone()],
+                        &mut zn[row.clone()],
+                    );
+                    let (un_row, hp) = (&un[row.clone()], &h_prev[row.clone()]);
+                    let hn = &mut h_new[row];
+                    for_lane_chunks!(batch, s, LW => gru_gates_chunk::<LW, ALL>(
+                        &mut zr[s..s + LW],
+                        &mut zz[s..s + LW],
+                        &mut zn[s..s + LW],
+                        &un_row[s..s + LW],
+                        &hp[s..s + LW],
+                        &mut hn[s..s + LW],
+                    ));
+                }
+            }
+        }
+        let d = self.out_dim();
+        let last = (t_steps - 1) % slots;
+        let top = &store[self.layers.len() - 1].hs[last * d * batch..][..d * batch];
+        let mut out = vec![0.0f32; batch * d];
+        bm_to_seq(top, &mut out, d, batch);
+        (out, store)
     }
 
     /// Batch-major BPTT from per-sequence gradients `douts`
@@ -824,22 +735,9 @@ impl Gru {
     ) {
         let t = cache.t_steps;
         let batch = cache.batch;
-        let top = self.layers.len() - 1;
-        let h_top = self.layers[top].hidden;
-        debug_assert_eq!(douts.len(), batch * h_top);
+        let h_top = self.out_dim();
         let mut dh = vec![0.0f32; t * h_top * batch];
-        let last = &mut dh[(t - 1) * h_top * batch..];
-        for s in 0..batch {
-            for k in 0..h_top {
-                last[k * batch + s] = douts[s * h_top + k];
-            }
-        }
-        let mut ends: Vec<usize> = Vec::with_capacity(self.layers.len());
-        let mut acc = 0;
-        for s in &self.layers {
-            acc += s.param_len();
-            ends.push(acc);
-        }
+        seq_to_bm(douts, &mut dh[(t - 1) * h_top * batch..], h_top, batch);
         for l in (0..self.layers.len()).rev() {
             let shape = self.layers[l];
             let x = if l == 0 {
@@ -849,7 +747,6 @@ impl Gru {
             };
             // The bottom layer's input gradient has no reader.
             let mut dxs = vec![0.0f32; if l > 0 { t * shape.in_dim * batch } else { 0 }];
-            let start = ends[l] - shape.param_len();
             shape.backward_batch(
                 self.layer_param(l),
                 &x,
@@ -857,7 +754,7 @@ impl Gru {
                 batch,
                 &cache.layer_caches[l],
                 &mut dh,
-                &mut grads[start..ends[l]],
+                &mut grads[self.layer_range(l)],
                 (l > 0).then_some(dxs.as_mut_slice()),
             );
             dh = dxs;
@@ -867,16 +764,9 @@ impl Gru {
     /// Backward from `dout` (gradient w.r.t. the final hidden vector).
     pub fn backward(&self, xs: &[f32], cache: &GruCache, dout: &[f32], grads: &mut [f32]) {
         let t = cache.t_steps;
-        let top = self.layers.len() - 1;
-        let h_top = self.layers[top].hidden;
+        let h_top = self.out_dim();
         let mut dh = vec![0.0f32; t * h_top];
         dh[(t - 1) * h_top..].copy_from_slice(dout);
-        let mut ends: Vec<usize> = Vec::with_capacity(self.layers.len());
-        let mut acc = 0;
-        for s in &self.layers {
-            acc += s.param_len();
-            ends.push(acc);
-        }
         for l in (0..self.layers.len()).rev() {
             let shape = self.layers[l];
             let xs_l: &[f32] = if l == 0 {
@@ -885,14 +775,13 @@ impl Gru {
                 &cache.layer_caches[l - 1].hs
             };
             let mut dxs = vec![0.0f32; if l > 0 { t * shape.in_dim } else { 0 }];
-            let start = ends[l] - shape.param_len();
             shape.backward(
                 self.layer_param(l),
                 xs_l,
                 t,
                 &cache.layer_caches[l],
                 &mut dh,
-                &mut grads[start..ends[l]],
+                &mut grads[self.layer_range(l)],
                 (l > 0).then_some(dxs.as_mut_slice()),
             );
             dh = dxs;

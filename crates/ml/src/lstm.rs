@@ -6,7 +6,7 @@
 
 use crate::init::seeded_rng;
 use crate::parallel::lane_split;
-use crate::window::{Columns, InputWeights, Window};
+use crate::window::{store_slots, Columns, InputWeights, Window};
 use std::panic::resume_unwind;
 use std::sync::{Barrier, OnceLock};
 // The fast activations are deliberate: every path (scalar step,
@@ -15,8 +15,8 @@ use std::sync::{Barrier, OnceLock};
 // functions so batched inference stays bit-identical to scalar
 // inference while its inner loops vectorize (see `tensor::tanh_apx`).
 use crate::tensor::{
-    for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc, outer_acc, outer_acc_seq,
-    outer_acc_sparse, sigmoid_apx, tanh_apx, Nonzeros,
+    bm_to_seq, fill_rows_bm, for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc,
+    outer_acc, outer_acc_seq, outer_acc_sparse, seq_to_bm, sigmoid_apx, tanh_apx, Nonzeros,
 };
 
 /// Shape of one LSTM layer with input size `in_dim` and hidden size `h`.
@@ -222,46 +222,18 @@ impl LstmLayerShape {
 /// One LSTM gate-activation chunk of compile-time width `L` (all
 /// slices have length `L`). The element math is exactly the scalar
 /// path's: `i,f,g,o` gates through the shared fast activations, then
-/// `c = f·c + i·g`, `h = o·tanh(c)`.
+/// `c = f·c_prev + i·g`, `h = o·tanh(c)`. With `KEEP` (a pass that keeps
+/// every step for backward) the post-activation gates overwrite their
+/// pre-activations in place.
 #[inline]
-fn gates_chunk<const L: usize>(
-    zi: &[f32],
-    zf: &[f32],
-    zg: &[f32],
-    zo: &[f32],
-    c_row: &mut [f32],
-    h_row: &mut [f32],
-) {
-    for s in 0..L {
-        let ig = sigmoid_apx(zi[s]);
-        let fg = sigmoid_apx(zf[s]);
-        let gg = tanh_apx(zg[s]);
-        let og = sigmoid_apx(zo[s]);
-        let c = fg * c_row[s] + ig * gg;
-        c_row[s] = c;
-        h_row[s] = og * tanh_apx(c);
-    }
-}
-
-/// One LSTM gate-activation chunk that also records the post-activation
-/// gates (the training variant of [`gates_chunk`]): element math is
-/// identical, `c_prev` is read separately from the written `c_new`
-/// (the cache keeps every timestep), and the four gate rows are stored
-/// for backward.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn gates_chunk_cached<const L: usize>(
-    zi: &[f32],
-    zf: &[f32],
-    zg: &[f32],
-    zo: &[f32],
+fn gates_chunk<const L: usize, const KEEP: bool>(
+    zi: &mut [f32],
+    zf: &mut [f32],
+    zg: &mut [f32],
+    zo: &mut [f32],
     c_prev: &[f32],
     c_new: &mut [f32],
     h_new: &mut [f32],
-    gi: &mut [f32],
-    gf: &mut [f32],
-    gg_row: &mut [f32],
-    go: &mut [f32],
 ) {
     for s in 0..L {
         let ig = sigmoid_apx(zi[s]);
@@ -269,10 +241,12 @@ fn gates_chunk_cached<const L: usize>(
         let gg = tanh_apx(zg[s]);
         let og = sigmoid_apx(zo[s]);
         let c = fg * c_prev[s] + ig * gg;
-        gi[s] = ig;
-        gf[s] = fg;
-        gg_row[s] = gg;
-        go[s] = og;
+        if KEEP {
+            zi[s] = ig;
+            zf[s] = fg;
+            zg[s] = gg;
+            zo[s] = og;
+        }
         c_new[s] = c;
         h_new[s] = og * tanh_apx(c);
     }
@@ -322,7 +296,8 @@ fn lstm_bwd_chunk<const L: usize>(
 /// Batch-major forward activations of one LSTM layer, retained for the
 /// batched backward pass. Row `r` of step `t` lives at
 /// `t * rows * batch + r * batch + s` for sequence `s` (the same
-/// lane-blocked layout the batched kernels compute in).
+/// lane-blocked layout the batched kernels compute in). A one-step
+/// pass keeps a second, all-zero step after its one step.
 #[derive(Debug, Clone)]
 pub struct LstmLayerBatchCache {
     /// `T x 4h x batch`: post-activation gates (`i, f, g, o`).
@@ -673,9 +648,14 @@ impl Lstm {
         &mut self.params
     }
 
-    fn layer_param(&self, l: usize) -> &[f32] {
+    /// Layer `l`'s share of the flat parameters (and of a gradient).
+    fn layer_range(&self, l: usize) -> std::ops::Range<usize> {
         let off: usize = self.layers[..l].iter().map(|s| s.param_len()).sum();
-        &self.params[off..off + self.layers[l].param_len()]
+        off..off + self.layers[l].param_len()
+    }
+
+    fn layer_param(&self, l: usize) -> &[f32] {
+        &self.params[self.layer_range(l)]
     }
 
     /// Fresh zeroed streaming state.
@@ -734,10 +714,8 @@ impl Lstm {
     /// output is bit-identical to an independent `forward` call.
     pub fn forward_batch(&self, xs: &[f32], t_steps: usize, batch: usize) -> Vec<f32> {
         assert!(batch >= 1);
-        self.recur(
-            &Columns::every_slot(xs, t_steps, batch, self.in_dim()),
-            t_steps,
-        )
+        let cols = Columns::every_slot(xs, t_steps, batch, self.in_dim());
+        self.recur::<false>(&self.input_weights(), &cols, t_steps).0
     }
 
     /// [`Lstm::forward_batch`] over `windows` of `t_steps` steps each
@@ -747,50 +725,84 @@ impl Lstm {
     /// bit-identical to [`Lstm::forward`] on the filled window.
     pub(crate) fn forward_windows(&self, windows: &[Window<'_>], t_steps: usize) -> Vec<f32> {
         assert!(!windows.is_empty());
-        self.recur(&Columns::distinct(windows, t_steps, self.in_dim()), t_steps)
+        let cols = Columns::distinct(windows, t_steps, self.in_dim());
+        self.recur::<false>(&self.input_weights(), &cols, t_steps).0
     }
 
-    /// The batched recurrence over layer-0 input columns `cols`.
+    /// The batched recurrence: the one forward kernel of
+    /// [`Lstm::forward_batch`], [`Lstm::forward_windows`] and each lane
+    /// part of [`Lstm::forward_batch_cached`]. Returns the top layer's
+    /// last hidden state (sequence-major, `batch x hidden`) and the step
+    /// store: every step's gates, cells and hidden states with `ALL`
+    /// (training), else a ring of two steps' cells and hidden states.
+    /// Layer 0 reads `cols`, which choose how its `b + W_ih x` is
+    /// projected (`w_ih0` is [`Lstm::input_weights`]).
     ///
     /// Per lane, a scalar step computes `z = (b + W_ih x) + W_hh h`,
-    /// each product sum its own chain from +0.0. Layer 0's `b + W_ih x`
-    /// is [`Columns::project`]ed once per column and gathered per step,
-    /// which is that chain's exact prefix. At `t = 0`, where `h` is
-    /// zero, the `W_hh h` term is skipped: with finite weights it is
-    /// +0.0, and `z` is never −0.0 (in round-to-nearest a sum is −0.0
-    /// only when both terms are, and the product sum starts from +0.0),
-    /// so adding it changes no bit.
-    fn recur(&self, cols: &Columns<'_>, t_steps: usize) -> Vec<f32> {
+    /// each product sum its own chain from +0.0; layer 0's projection
+    /// is that chain's exact prefix. At `t = 0`, where `h` is zero, the
+    /// `W_hh h` term is skipped: with finite weights it is +0.0, and `z`
+    /// is never −0.0 (in round-to-nearest a sum is −0.0 only when both
+    /// terms are, and the product sum starts from +0.0), so adding it
+    /// changes no bit.
+    fn recur<const ALL: bool>(
+        &self,
+        w_ih0: &InputWeights<'_>,
+        cols: &Columns<'_>,
+        t_steps: usize,
+    ) -> (Vec<f32>, Vec<LstmLayerBatchCache>) {
         let batch = cols.batch;
-        // Batch-major per-layer states: entry `k * batch + s`.
-        let mut h_st: Vec<Vec<f32>> = self
+        let slots = store_slots(ALL, t_steps);
+        let mut store: Vec<LstmLayerBatchCache> = self
             .layers
             .iter()
-            .map(|l| vec![0.0f32; l.hidden * batch])
+            .map(|l| {
+                let n = l.hidden * batch;
+                LstmLayerBatchCache {
+                    gates: vec![0.0; if ALL { slots * 4 * n } else { 0 }],
+                    cells: vec![0.0; slots * n],
+                    hs: vec![0.0; slots * n],
+                }
+            })
             .collect();
-        let mut c_st = h_st.clone();
+        // Step `t`'s pre-activations are computed in its gate slot, or
+        // for a ring store in one scratch buffer all layers share.
         let h_max = self.layers.iter().map(|l| l.hidden).max().unwrap();
-        let proj = cols.project(&self.input_weights());
-        let mut z = vec![0.0f32; 4 * h_max * batch];
+        let mut scratch = vec![0.0f32; if ALL { 0 } else { 4 * h_max * batch }];
+        let x0 = cols.input(w_ih0);
         let mut acc = vec![0.0f32; batch];
         for t in 0..t_steps {
+            let (prev, cur) = ((t + slots - 1) % slots, t % slots);
             for (l, shape) in self.layers.iter().enumerate() {
-                let h = shape.hidden;
+                let (h, n) = (shape.hidden, shape.hidden * batch);
                 let (w_ih, w_hh, b) = shape.split(self.layer_param(l));
-                let z = &mut z[..4 * h * batch];
-                let (below, cur_h) = h_st.split_at_mut(l);
-                if l == 0 {
-                    cols.gather(&proj, 4 * h, t, z);
+                let (below, this) = store.split_at_mut(l);
+                let this = &mut this[0];
+                let z = if ALL {
+                    &mut this.gates[cur * 4 * n..][..4 * n]
                 } else {
-                    for (r, &bv) in b.iter().enumerate() {
-                        z[r * batch..(r + 1) * batch].fill(bv);
-                    }
-                    gemm_bm_acc(w_ih, &below[l - 1], z, 4 * h, shape.in_dim, batch, &mut acc);
+                    &mut scratch[..4 * n]
+                };
+                if l == 0 {
+                    x0.step(t, z);
+                } else {
+                    let m = shape.in_dim * batch;
+                    fill_rows_bm(z, b, batch);
+                    let x = &below[l - 1].hs[cur * m..][..m];
+                    gemm_bm_acc(w_ih, x, z, 4 * h, shape.in_dim, batch, &mut acc);
                 }
                 if t > 0 {
-                    gemm_bm_acc(w_hh, &cur_h[0], z, 4 * h, h, batch, &mut acc);
+                    let h_prev = &this.hs[prev * n..][..n];
+                    gemm_bm_acc(w_hh, h_prev, z, 4 * h, h, batch, &mut acc);
                 }
-                let (h_cur, c_cur) = (&mut cur_h[0], &mut c_st[l]);
+                let [c_prev, c_new] = this
+                    .cells
+                    .get_disjoint_mut([prev * n..(prev + 1) * n, cur * n..(cur + 1) * n])
+                    .expect("a store keeps at least two slots");
+                let h_new = &mut this.hs[cur * n..][..n];
+                let (zi, rest) = z.split_at_mut(n);
+                let (zf, rest) = rest.split_at_mut(n);
+                let (zg, zo) = rest.split_at_mut(n);
                 // Per-k row slices, processed in fixed-width chunks:
                 // the const-width inner body reliably compiles to SIMD
                 // (a runtime-trip-count loop over this much straight-
@@ -798,32 +810,29 @@ impl Lstm {
                 // math per element is identical at every width, so
                 // results never depend on the chunking.
                 for k in 0..h {
-                    let zi = &z[k * batch..(k + 1) * batch];
-                    let zf = &z[(h + k) * batch..(h + k + 1) * batch];
-                    let zg = &z[(2 * h + k) * batch..(2 * h + k + 1) * batch];
-                    let zo = &z[(3 * h + k) * batch..(3 * h + k + 1) * batch];
-                    let c_row = &mut c_cur[k * batch..(k + 1) * batch];
-                    let h_row = &mut h_cur[k * batch..(k + 1) * batch];
-                    for_lane_chunks!(batch, s, LW => gates_chunk::<LW>(
-                        &zi[s..s + LW],
-                        &zf[s..s + LW],
-                        &zg[s..s + LW],
-                        &zo[s..s + LW],
-                        &mut c_row[s..s + LW],
-                        &mut h_row[s..s + LW],
+                    let row = k * batch..(k + 1) * batch;
+                    let (zi, zf) = (&mut zi[row.clone()], &mut zf[row.clone()]);
+                    let (zg, zo) = (&mut zg[row.clone()], &mut zo[row.clone()]);
+                    let (cp, cn) = (&c_prev[row.clone()], &mut c_new[row.clone()]);
+                    let hn = &mut h_new[row];
+                    for_lane_chunks!(batch, s, LW => gates_chunk::<LW, ALL>(
+                        &mut zi[s..s + LW],
+                        &mut zf[s..s + LW],
+                        &mut zg[s..s + LW],
+                        &mut zo[s..s + LW],
+                        &cp[s..s + LW],
+                        &mut cn[s..s + LW],
+                        &mut hn[s..s + LW],
                     ));
                 }
             }
         }
         let d = self.out_dim();
-        let top = &h_st[self.layers.len() - 1];
+        let last = (t_steps - 1) % slots;
+        let top = &store[self.layers.len() - 1].hs[last * d * batch..][..d * batch];
         let mut out = vec![0.0f32; batch * d];
-        for s in 0..batch {
-            for k in 0..d {
-                out[s * d + k] = top[k * batch + s];
-            }
-        }
-        out
+        bm_to_seq(top, &mut out, d, batch);
+        (out, store)
     }
 
     /// Forward multiply-adds of a batched pass (the work [`lane_split`]
@@ -840,40 +849,50 @@ impl Lstm {
     /// Batched full-sequence forward that also retains every layer's
     /// batch-major activations for [`Lstm::backward_batch`].
     ///
-    /// Same layouts and — per sequence — the same arithmetic order as
-    /// [`Lstm::forward_batch`], so each output (and every cached
-    /// activation) is bit-identical to an independent [`Lstm::forward`]
-    /// call on that sequence. When [`lane_split`] says so, the two lane
-    /// halves run on two threads; lanes never interact, so the split
-    /// changes no result.
+    /// The same recurrence as [`Lstm::forward_batch`], keeping every
+    /// step, so each output (and every cached activation) is
+    /// bit-identical to an independent [`Lstm::forward`] call on that
+    /// sequence. When [`lane_split`] says so, the two lane halves run on
+    /// two threads; lanes never interact, so the split changes no
+    /// result.
     pub fn forward_batch_cached(
         &self,
         xs: &[f32],
         t_steps: usize,
         batch: usize,
     ) -> (Vec<f32>, LstmBatchCache) {
-        assert_eq!(xs.len(), batch * t_steps * self.in_dim());
+        let in_dim = self.in_dim();
+        assert_eq!(xs.len(), batch * t_steps * in_dim);
         assert!(batch >= 1);
         let w_ih0 = self.input_weights();
-        let parts = match lane_split(batch, self.forward_macs(t_steps, batch)) {
-            None => vec![self.forward_part(&w_ih0, xs, t_steps, 0, batch)],
+        // Lanes `start..start + batch`, each step projected from its own
+        // column of `xs`.
+        let part = |start: usize, batch: usize| {
+            let xs = &xs[start * t_steps * in_dim..(start + batch) * t_steps * in_dim];
+            let cols = Columns::every_slot(xs, t_steps, batch, in_dim);
+            let (out, layers) = self.recur::<true>(&w_ih0, &cols, t_steps);
+            (
+                out,
+                LanePart {
+                    start,
+                    batch,
+                    layers,
+                },
+            )
+        };
+        let (out, parts) = match lane_split(batch, self.forward_macs(t_steps, batch)) {
+            None => {
+                let (out, p) = part(0, batch);
+                (out, vec![p])
+            }
             Some(mid) => std::thread::scope(|sc| {
-                let hi = sc.spawn(|| self.forward_part(&w_ih0, xs, t_steps, mid, batch - mid));
-                let lo = self.forward_part(&w_ih0, xs, t_steps, 0, mid);
-                vec![lo, hi.join().unwrap_or_else(|e| resume_unwind(e))]
+                let hi = sc.spawn(|| part(mid, batch - mid));
+                let (mut out, lo) = part(0, mid);
+                let (out_hi, hi) = hi.join().unwrap_or_else(|e| resume_unwind(e));
+                out.extend_from_slice(&out_hi);
+                (out, vec![lo, hi])
             }),
         };
-        let d = self.out_dim();
-        let top = self.layers.len() - 1;
-        let mut out = vec![0.0f32; batch * d];
-        for p in &parts {
-            let top_hs = &p.layers[top].hs[(t_steps - 1) * d * p.batch..];
-            for s in 0..p.batch {
-                for k in 0..d {
-                    out[(p.start + s) * d + k] = top_hs[k * p.batch + s];
-                }
-            }
-        }
         (
             out,
             LstmBatchCache {
@@ -890,105 +909,6 @@ impl Lstm {
         InputWeights::new(w_ih, b)
     }
 
-    /// The cached forward of lanes `start..start + batch` of the
-    /// sequence-major block `xs`; `w_ih0` is [`Lstm::input_weights`].
-    fn forward_part(
-        &self,
-        w_ih0: &InputWeights<'_>,
-        xs: &[f32],
-        t_steps: usize,
-        start: usize,
-        batch: usize,
-    ) -> LanePart {
-        let in_dim = self.in_dim();
-        let xs = &xs[start * t_steps * in_dim..(start + batch) * t_steps * in_dim];
-        let mut layer_caches: Vec<LstmLayerBatchCache> = self
-            .layers
-            .iter()
-            .map(|l| LstmLayerBatchCache {
-                gates: vec![0.0; t_steps * 4 * l.hidden * batch],
-                cells: vec![0.0; t_steps * l.hidden * batch],
-                hs: vec![0.0; t_steps * l.hidden * batch],
-            })
-            .collect();
-        let h_max = self.layers.iter().map(|l| l.hidden).max().unwrap();
-        // Layer 0's `b + W_ih x`, projected per step from each input's
-        // nonzero features only (see [`Columns::project_step`]).
-        let cols = Columns::every_slot(xs, t_steps, batch, in_dim);
-        let mut z = vec![0.0f32; 4 * h_max * batch];
-        let mut acc = vec![0.0f32; batch];
-        let zeros = vec![0.0f32; h_max * batch];
-        for t in 0..t_steps {
-            for (l, shape) in self.layers.iter().enumerate() {
-                let h = shape.hidden;
-                let (w_ih, w_hh, b) = shape.split(self.layer_param(l));
-                let z = &mut z[..4 * h * batch];
-                let (below, cur) = layer_caches.split_at_mut(l);
-                if l == 0 {
-                    cols.project_step(w_ih0, t, z);
-                } else {
-                    for (r, &bv) in b.iter().enumerate() {
-                        z[r * batch..(r + 1) * batch].fill(bv);
-                    }
-                    let x_bm =
-                        &below[l - 1].hs[t * shape.in_dim * batch..(t + 1) * shape.in_dim * batch];
-                    gemm_bm_acc(w_ih, x_bm, z, 4 * h, shape.in_dim, batch, &mut acc);
-                }
-                let cache = &mut cur[0];
-                let h_prev: &[f32] = if t == 0 {
-                    &zeros[..h * batch]
-                } else {
-                    &cache.hs[(t - 1) * h * batch..t * h * batch]
-                };
-                gemm_bm_acc(w_hh, h_prev, z, 4 * h, h, batch, &mut acc);
-                let (c_prev_all, c_new_all) = cache.cells.split_at_mut(t * h * batch);
-                let c_prev_all: &[f32] = if t == 0 {
-                    &zeros[..h * batch]
-                } else {
-                    &c_prev_all[(t - 1) * h * batch..]
-                };
-                let c_new = &mut c_new_all[..h * batch];
-                let h_new_off = t * h * batch;
-                let gates_off = t * 4 * h * batch;
-                for k in 0..h {
-                    let zi = &z[k * batch..(k + 1) * batch];
-                    let zf = &z[(h + k) * batch..(h + k + 1) * batch];
-                    let zg = &z[(2 * h + k) * batch..(2 * h + k + 1) * batch];
-                    let zo = &z[(3 * h + k) * batch..(3 * h + k + 1) * batch];
-                    let cp = &c_prev_all[k * batch..(k + 1) * batch];
-                    let cn = &mut c_new[k * batch..(k + 1) * batch];
-                    let hn = &mut cache.hs[h_new_off + k * batch..h_new_off + (k + 1) * batch];
-                    let (g_i, g_rest) =
-                        cache.gates[gates_off..gates_off + 4 * h * batch].split_at_mut(h * batch);
-                    let (g_f, g_rest) = g_rest.split_at_mut(h * batch);
-                    let (g_g, g_o) = g_rest.split_at_mut(h * batch);
-                    let gi = &mut g_i[k * batch..(k + 1) * batch];
-                    let gf = &mut g_f[k * batch..(k + 1) * batch];
-                    let gg = &mut g_g[k * batch..(k + 1) * batch];
-                    let go = &mut g_o[k * batch..(k + 1) * batch];
-                    for_lane_chunks!(batch, s, LW => gates_chunk_cached::<LW>(
-                        &zi[s..s + LW],
-                        &zf[s..s + LW],
-                        &zg[s..s + LW],
-                        &zo[s..s + LW],
-                        &cp[s..s + LW],
-                        &mut cn[s..s + LW],
-                        &mut hn[s..s + LW],
-                        &mut gi[s..s + LW],
-                        &mut gf[s..s + LW],
-                        &mut gg[s..s + LW],
-                        &mut go[s..s + LW],
-                    ));
-                }
-            }
-        }
-        LanePart {
-            start,
-            batch,
-            layers: layer_caches,
-        }
-    }
-
     /// Batch-major BPTT from per-sequence gradients `douts`
     /// (sequence-major `batch x hidden`, the gradient w.r.t. each
     /// sequence's final hidden vector); accumulates into `grads`.
@@ -997,14 +917,14 @@ impl Lstm {
     /// scalar [`Lstm::backward`] once per sequence, in batch order,
     /// into the same buffer. Each lane part runs its delta recursion
     /// through every layer; then the parameter gradients are replayed
-    /// in the scalar order ([`LstmLayerShape::replay_rows`]). A forward
+    /// in the scalar order (`LstmLayerShape::replay_rows`). A forward
     /// pass that ran as two lane halves runs its backward on the same
     /// two threads: each recurses through its own half, and after one
     /// barrier each replays half of every layer's gate rows over both
     /// halves.
     ///
     /// Layer 0's `W_ih` replay visits only the nonzero input features
-    /// ([`outer_acc_sparse`]). That is exact under one precondition,
+    /// (`tensor::outer_acc_sparse`). That is exact under one precondition,
     /// which every caller meets by passing zeroed or accumulated
     /// gradients: no layer-0 `W_ih` entry of `grads` starts at −0.0.
     pub fn backward_batch(
@@ -1058,12 +978,7 @@ impl Lstm {
         // dh for the top layer, batch-major: only the last step receives
         // the injected gradient.
         let mut dh = vec![0.0f32; t * h_top * batch];
-        let last = &mut dh[(t - 1) * h_top * batch..];
-        for s in 0..batch {
-            for k in 0..h_top {
-                last[k * batch + s] = douts[s * h_top + k];
-            }
-        }
+        seq_to_bm(douts, &mut dh[(t - 1) * h_top * batch..], h_top, batch);
         let mut dz = vec![Vec::new(); self.layers.len()];
         for l in (0..self.layers.len()).rev() {
             let shape = self.layers[l];
@@ -1155,18 +1070,10 @@ impl Lstm {
     /// accumulates into `grads` (same length as [`Lstm::params`]).
     pub fn backward(&self, xs: &[f32], cache: &LstmCache, dout: &[f32], grads: &mut [f32]) {
         let t = cache.t_steps;
-        let top = self.layers.len() - 1;
-        let h_top = self.layers[top].hidden;
+        let h_top = self.out_dim();
         // dh for the top layer: only the last step receives dout.
         let mut dh = vec![0.0f32; t * h_top];
         dh[(t - 1) * h_top..].copy_from_slice(dout);
-
-        let mut grad_off_ends: Vec<usize> = Vec::with_capacity(self.layers.len());
-        let mut acc = 0;
-        for s in &self.layers {
-            acc += s.param_len();
-            grad_off_ends.push(acc);
-        }
 
         for l in (0..self.layers.len()).rev() {
             let shape = self.layers[l];
@@ -1177,14 +1084,13 @@ impl Lstm {
             };
             // The bottom layer's input gradient has no reader.
             let mut dxs = vec![0.0f32; if l > 0 { t * shape.in_dim } else { 0 }];
-            let g_start = grad_off_ends[l] - shape.param_len();
             shape.backward(
                 self.layer_param(l),
                 xs_l,
                 t,
                 &cache.layer_caches[l],
                 &mut dh,
-                &mut grads[g_start..grad_off_ends[l]],
+                &mut grads[self.layer_range(l)],
                 (l > 0).then_some(dxs.as_mut_slice()),
             );
             dh = dxs; // becomes the injected dh for the layer below

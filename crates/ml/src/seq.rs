@@ -130,16 +130,22 @@ impl SeqModel {
         SeqModel::Gru(Gru::new(in_dim, out_dim, layers, seed))
     }
 
-    /// `Transformer-layers-d` with 4 heads (2 when `d < 16`).
+    /// `Transformer-layers-d` with [`SeqModel::transformer_heads`] heads.
+    ///
+    /// Panics when `out_dim` has no head count (it is odd).
     pub fn transformer(in_dim: usize, out_dim: usize, layers: usize, seed: u64) -> SeqModel {
-        let heads = if out_dim.is_multiple_of(4) && out_dim >= 16 {
-            4
-        } else {
-            2
-        };
+        let heads = SeqModel::transformer_heads(out_dim).expect("Transformer width must be even");
         SeqModel::Transformer(TransformerEncoder::new(
             in_dim, out_dim, layers, heads, seed,
         ))
+    }
+
+    /// The attention heads of a width-`d` Transformer: 4 when `d` is a
+    /// multiple of 4 and at least 16, else 2; `None` when `d` does not
+    /// split evenly into them (an odd `d`).
+    pub fn transformer_heads(d: usize) -> Option<usize> {
+        let heads = if d.is_multiple_of(4) && d >= 16 { 4 } else { 2 };
+        d.is_multiple_of(heads).then_some(heads)
     }
 
     /// A short architecture name in the paper's `Arch-layers-dim` format.
@@ -465,8 +471,8 @@ impl SeqModel {
         }
     }
 
-    /// The streaming-capable inner LSTM, when this model is an LSTM
-    /// (used for fast trace-wide representation generation).
+    /// The inner LSTM, when this model is an LSTM (the tests read its
+    /// lane parts through it).
     pub fn as_lstm(&self) -> Option<&Lstm> {
         match self {
             SeqModel::Lstm(m) => Some(m),

@@ -603,12 +603,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// Elementwise `v += u`.
-#[inline]
-pub fn add_assign(v: &mut [f32], u: &[f32]) {
-    axpy(1.0, u, v);
-}
-
 /// Logistic sigmoid.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {

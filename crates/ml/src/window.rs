@@ -1,4 +1,5 @@
-//! Instruction windows as the input of batched inference.
+//! Instruction windows as the input of batched inference, and the
+//! layer-0 input and step store of the batched recurrence.
 //!
 //! A window `(rows, i)` names row `i` of a row-major `n x in_dim`
 //! feature matrix `rows`. Its `t` steps are rows `i + 1 - t ..= i`,
@@ -10,7 +11,7 @@
 //!
 //! Instruction features are mostly zero (one-hot fields and empty
 //! register slots), so the projection visits only each column's nonzero
-//! features ([`Columns::project`]).
+//! features.
 
 use crate::tensor::compact_nonzeros;
 
@@ -160,21 +161,28 @@ impl<'a> Columns<'a> {
         }
     }
 
+    /// Layer 0's input term `b + W x` of a pass over these columns. When
+    /// some column is read more than once (overlapping windows, padding)
+    /// every column is projected ahead, once, and each step gathers its
+    /// columns; when each is read once, each step projects its columns
+    /// straight into its pre-activations, where projecting ahead would
+    /// only add a copy. Both give the same bits.
+    pub(crate) fn input<'s>(&'s self, w: &'s InputWeights<'s>) -> Layer0<'s> {
+        let ahead = (self.x.len() < self.slot.len()).then(|| self.project(w));
+        Layer0 {
+            cols: self,
+            w,
+            ahead,
+        }
+    }
+
     /// `b + W x` for every column: a `rows x n` batch-major matrix
     /// ([`Columns::project_into`]).
-    pub(crate) fn project(&self, w: &InputWeights<'_>) -> Vec<f32> {
+    fn project(&self, w: &InputWeights<'_>) -> Vec<f32> {
         let n = self.x.len();
         let mut p = vec![0.0f32; w.rows() * n];
         self.project_into(w, n, |j| j, &mut p);
         p
-    }
-
-    /// `b + W x` for the columns step `t`'s lanes read, straight into
-    /// the batch-major `rows x batch` matrix `z` (for a pass that reads
-    /// every column once, where projecting ahead would only add a copy).
-    pub(crate) fn project_step(&self, w: &InputWeights<'_>, t: usize, z: &mut [f32]) {
-        let lanes = &self.slot[t * self.batch..(t + 1) * self.batch];
-        self.project_into(w, self.batch, |s| lanes[s], &mut z[..w.rows() * self.batch]);
     }
 
     /// `out[r][j] = b[r] + (W x[col(j)])[r]` for `j < count`, `out`
@@ -232,7 +240,7 @@ impl<'a> Columns<'a> {
 
     /// Copy step `t`'s columns of the projection `p` (`rows x n`) into
     /// the batch-major `rows x batch` matrix `z`.
-    pub(crate) fn gather(&self, p: &[f32], rows: usize, t: usize, z: &mut [f32]) {
+    fn gather(&self, p: &[f32], rows: usize, t: usize, z: &mut [f32]) {
         let (n, batch) = (self.x.len(), self.batch);
         let dst = z[..rows * batch].chunks_exact_mut(batch);
         match self.run[t] {
@@ -250,6 +258,44 @@ impl<'a> Columns<'a> {
                 }
             }
         }
+    }
+}
+
+/// Layer 0's `b + W x` over [`Columns`], step by step
+/// ([`Columns::input`]).
+pub(crate) struct Layer0<'s> {
+    cols: &'s Columns<'s>,
+    w: &'s InputWeights<'s>,
+    /// Every column projected, when the columns are shared.
+    ahead: Option<Vec<f32>>,
+}
+
+impl Layer0<'_> {
+    /// Step `t`'s `b + W x`, one lane per column of the batch-major
+    /// `rows x batch` matrix `z`.
+    pub(crate) fn step(&self, t: usize, z: &mut [f32]) {
+        let (c, batch) = (self.cols, self.cols.batch);
+        match &self.ahead {
+            Some(p) => c.gather(p, self.w.rows(), t, z),
+            None => {
+                let lanes = &c.slot[t * batch..(t + 1) * batch];
+                c.project_into(self.w, batch, |s| lanes[s], z);
+            }
+        }
+    }
+}
+
+/// Slots in the step store of a batched recurrent pass: how many steps
+/// of its states each layer keeps. Training keeps every step (`all`),
+/// as its backward pass reads them all; inference keeps a ring of two,
+/// as a step reads only the step before. Step `t` lives in slot
+/// `t % slots`, and the slot before it is, at `t = 0`, still the
+/// all-zero initial state, so a store has at least two slots.
+pub(crate) fn store_slots(all: bool, t_steps: usize) -> usize {
+    if all {
+        t_steps.max(2)
+    } else {
+        2
     }
 }
 
@@ -409,8 +455,10 @@ mod tests {
         assert_eq!(bits(&c.project(&weights)), bits(&want));
         // Step by step, straight into a batch-major `z`.
         let mut z = vec![0.0f32; rows * batch];
+        let input = c.input(&weights);
+        assert!(input.ahead.is_none());
         for step in 0..t {
-            c.project_step(&weights, step, &mut z);
+            input.step(step, &mut z);
             for r in 0..rows {
                 let at = r * n + step * batch;
                 assert_eq!(
@@ -423,6 +471,7 @@ mod tests {
         let windows: Vec<Window<'_>> = (0..batch).map(|i| (xs.as_slice(), i)).collect();
         let c = Columns::distinct(&windows, t, in_dim);
         assert!(c.x.last().is_some_and(|x| x.is_empty()));
+        assert!(c.input(&weights).ahead.is_some());
         assert_eq!(bits(&c.project(&weights)), bits(&dense(&c)));
     }
 }

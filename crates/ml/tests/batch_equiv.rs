@@ -37,6 +37,12 @@ fn batch_inputs(batch: usize, t: usize, in_dim: usize) -> Vec<f32> {
         .collect()
 }
 
+/// Step counts: the default 5, and 1 to 3 (context 0 to 2), the edges
+/// of a recurrent pass's step store: a one-step pass (whose training
+/// store keeps a spare zero step), and passes that end just before and
+/// just after the two-step inference ring first wraps.
+const STEPS: [usize; 4] = [1, 2, 3, 5];
+
 #[test]
 fn batch_of_one_is_bit_identical_to_forward() {
     let (in_dim, d, t) = (6, 8, 5);
@@ -50,21 +56,23 @@ fn batch_of_one_is_bit_identical_to_forward() {
 
 #[test]
 fn every_sequence_of_a_batch_is_bit_identical_to_forward() {
-    let (in_dim, d, t) = (6, 8, 5);
-    // 32 exercises the widest (32-lane) gemm block, 7 every tail path.
-    for batch in [2usize, 3, 7, 8, 17, 32] {
-        let xs = batch_inputs(batch, t, in_dim);
-        for m in all_models(in_dim, d, t) {
-            let batched = m.forward_batch(&xs, t, batch);
-            assert_eq!(batched.len(), batch * d, "{}", m.describe());
-            for s in 0..batch {
-                let (single, _) = m.forward(&xs[s * t * in_dim..(s + 1) * t * in_dim], t);
-                assert_eq!(
-                    &batched[s * d..(s + 1) * d],
-                    single.as_slice(),
-                    "{} sequence {s} of batch {batch}",
-                    m.describe()
-                );
+    let (in_dim, d) = (6, 8);
+    for t in STEPS {
+        // 32 exercises the widest (32-lane) gemm block, 7 every tail path.
+        for batch in [2usize, 3, 7, 8, 17, 32] {
+            let xs = batch_inputs(batch, t, in_dim);
+            for m in all_models(in_dim, d, t) {
+                let batched = m.forward_batch(&xs, t, batch);
+                assert_eq!(batched.len(), batch * d, "{}", m.describe());
+                for s in 0..batch {
+                    let (single, _) = m.forward(&xs[s * t * in_dim..(s + 1) * t * in_dim], t);
+                    assert_eq!(
+                        &batched[s * d..(s + 1) * d],
+                        single.as_slice(),
+                        "{} sequence {s} of batch {batch}, {t} steps",
+                        m.describe()
+                    );
+                }
             }
         }
     }
@@ -85,45 +93,49 @@ fn batch_douts(batch: usize, d: usize) -> Vec<f32> {
 
 #[test]
 fn cached_batched_forward_is_bit_identical_to_forward_batch() {
-    let (in_dim, d, t) = (6, 8, 5);
-    for batch in [1usize, 2, 3, 7, 8, 17, 32] {
-        let xs = batch_inputs(batch, t, in_dim);
-        for m in all_models(in_dim, d, t) {
-            let plain = m.forward_batch(&xs, t, batch);
-            let (cached, _) = m.forward_batch_cached(&xs, t, batch);
-            assert_eq!(plain, cached, "{} batch {batch}", m.describe());
+    let (in_dim, d) = (6, 8);
+    for t in STEPS {
+        for batch in [1usize, 2, 3, 7, 8, 17, 32] {
+            let xs = batch_inputs(batch, t, in_dim);
+            for m in all_models(in_dim, d, t) {
+                let plain = m.forward_batch(&xs, t, batch);
+                let (cached, _) = m.forward_batch_cached(&xs, t, batch);
+                assert_eq!(plain, cached, "{} batch {batch}, {t} steps", m.describe());
+            }
         }
     }
 }
 
 #[test]
 fn backward_batch_is_bit_identical_to_per_sequence_backward() {
-    let (in_dim, d, t) = (6, 8, 5);
-    // 32 exercises the widest (32-lane) gemm block, 7 and 17 every
-    // tail path, 1 the degenerate single-lane batch.
-    for batch in [1usize, 2, 3, 7, 8, 17, 32] {
-        let xs = batch_inputs(batch, t, in_dim);
-        let douts = batch_douts(batch, d);
-        for m in all_models(in_dim, d, t) {
-            // Reference: scalar backward per sequence, in batch order,
-            // accumulating into one shared buffer.
-            let mut g_ref = vec![0.0f32; m.num_params()];
-            for s in 0..batch {
-                let seq = &xs[s * t * in_dim..(s + 1) * t * in_dim];
-                let (_, cache) = m.forward(seq, t);
-                m.backward(seq, t, &cache, &douts[s * d..(s + 1) * d], &mut g_ref);
-            }
-            // Batched: one cached forward + one batch-major backward.
-            let (_, bcache) = m.forward_batch_cached(&xs, t, batch);
-            let mut g_bat = vec![0.0f32; m.num_params()];
-            m.backward_batch(&xs, t, batch, &bcache, &douts, &mut g_bat);
-            for (p, (a, b)) in g_ref.iter().zip(&g_bat).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{} batch {batch} param {p}: scalar {a} vs batched {b}",
-                    m.describe()
-                );
+    let (in_dim, d) = (6, 8);
+    for t in STEPS {
+        // 32 exercises the widest (32-lane) gemm block, 7 and 17 every
+        // tail path, 1 the degenerate single-lane batch.
+        for batch in [1usize, 2, 3, 7, 8, 17, 32] {
+            let xs = batch_inputs(batch, t, in_dim);
+            let douts = batch_douts(batch, d);
+            for m in all_models(in_dim, d, t) {
+                // Reference: scalar backward per sequence, in batch order,
+                // accumulating into one shared buffer.
+                let mut g_ref = vec![0.0f32; m.num_params()];
+                for s in 0..batch {
+                    let seq = &xs[s * t * in_dim..(s + 1) * t * in_dim];
+                    let (_, cache) = m.forward(seq, t);
+                    m.backward(seq, t, &cache, &douts[s * d..(s + 1) * d], &mut g_ref);
+                }
+                // Batched: one cached forward + one batch-major backward.
+                let (_, bcache) = m.forward_batch_cached(&xs, t, batch);
+                let mut g_bat = vec![0.0f32; m.num_params()];
+                m.backward_batch(&xs, t, batch, &bcache, &douts, &mut g_bat);
+                for (p, (a, b)) in g_ref.iter().zip(&g_bat).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{} batch {batch}, {t} steps, param {p}: scalar {a} vs batched {b}",
+                        m.describe()
+                    );
+                }
             }
         }
     }
@@ -305,13 +317,20 @@ fn window_blocks<'a>(
 
 #[test]
 fn forward_windows_is_bit_identical_to_forward_per_window() {
-    let (in_dim, d, t) = (6, 8, 5);
-    let a = batch_inputs(40, 1, in_dim);
-    let b: Vec<f32> = batch_inputs(65, 1, in_dim)[40 * in_dim..].to_vec();
-    for batch in [1usize, 7, 32, 33] {
-        for m in all_models(in_dim, d, t) {
-            for (what, windows) in window_blocks(&a, &b, in_dim, batch) {
-                assert_windows_match_forward(&m, &windows, t, &format!("{what}, batch {batch}"));
+    let (in_dim, d) = (6, 8);
+    for t in STEPS {
+        let a = batch_inputs(40, 1, in_dim);
+        let b: Vec<f32> = batch_inputs(65, 1, in_dim)[40 * in_dim..].to_vec();
+        for batch in [1usize, 7, 32, 33] {
+            for m in all_models(in_dim, d, t) {
+                for (what, windows) in window_blocks(&a, &b, in_dim, batch) {
+                    assert_windows_match_forward(
+                        &m,
+                        &windows,
+                        t,
+                        &format!("{what}, batch {batch}"),
+                    );
+                }
             }
         }
     }
@@ -341,9 +360,12 @@ fn forward_windows_keeps_negative_zero_bias_rows_exact() {
             p[w_ih + w_hh + r] = -0.0;
         }
         m.set_params(&p);
-        for batch in [1usize, 7, 32, 33] {
-            for (what, windows) in window_blocks(&a, &b, in_dim, batch) {
-                assert_windows_match_forward(&m, &windows, t, &format!("{what}, batch {batch}"));
+        for t in [1, 2, 3, t] {
+            for batch in [1usize, 7, 32, 33] {
+                for (what, windows) in window_blocks(&a, &b, in_dim, batch) {
+                    let what = format!("{what}, {t} steps, batch {batch}");
+                    assert_windows_match_forward(&m, &windows, t, &what);
+                }
             }
         }
     }

@@ -14,7 +14,7 @@
 //! Poisoned locks: a panic elsewhere in a worker (say, in a group key's
 //! `PartialEq` while the queue is drained) unwinds with the queue mutex
 //! held and poisons it. Every lock and wait recovers the guard
-//! ([`lock`], [`wait`]): the queue is only ever changed by whole
+//! (`lock`, `wait`): the queue is only ever changed by whole
 //! `push_back`/`pop_front` calls, so it is consistent whatever unwound.
 //! A job taken off the queue that never gets a result fails its ticket
 //! with [`BatchError::Panicked`] when it is dropped, and the worker

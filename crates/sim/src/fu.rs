@@ -9,7 +9,7 @@
 //! scans are the hottest scans in the simulator. Pools and ports are
 //! stored as fixed [`FU_LANES`]-wide arrays padded with a sentinel, and
 //! the earliest-free slot is found with a branchless packed-key
-//! tournament ([`min_lanes`]) instead of a data-dependent compare-and-
+//! tournament (`min_lanes`) instead of a data-dependent compare-and-
 //! branch loop whose branches are essentially random to the predictor.
 //! Configurations wider than [`FU_LANES`] (none of the sampled or
 //! predefined machines; possible by hand) fall back to a plain scan.

@@ -19,7 +19,7 @@
 //! For grid generation — many machines over one trace —
 //! [`simulate_column`] decodes the trace once and runs every machine
 //! over that one buffer; [`simulate`] runs the same kernel for one
-//! machine. Every result is bit-identical to the frozen [`reference`]
+//! machine. Every result is bit-identical to the frozen [`mod@reference`]
 //! oracle.
 //!
 //! ```
