@@ -129,11 +129,29 @@ pub fn assemble(src: &str, default_name: &str) -> Result<AsmProgram, AsmError> {
                 ));
             }
             Stmt::Word(ws) => {
-                bind_pending(&mut pending, true, n_insts, cursor, &mut code_labels, &mut data_labels)?;
-                emit(&mut cur_seg, &mut cursor, ws.iter().flat_map(|w| w.to_le_bytes()))
+                bind_pending(
+                    &mut pending,
+                    true,
+                    n_insts,
+                    cursor,
+                    &mut code_labels,
+                    &mut data_labels,
+                )?;
+                emit(
+                    &mut cur_seg,
+                    &mut cursor,
+                    ws.iter().flat_map(|w| w.to_le_bytes()),
+                )
             }
             Stmt::F64(fs) => {
-                bind_pending(&mut pending, true, n_insts, cursor, &mut code_labels, &mut data_labels)?;
+                bind_pending(
+                    &mut pending,
+                    true,
+                    n_insts,
+                    cursor,
+                    &mut code_labels,
+                    &mut data_labels,
+                )?;
                 emit(
                     &mut cur_seg,
                     &mut cursor,
@@ -141,7 +159,14 @@ pub fn assemble(src: &str, default_name: &str) -> Result<AsmProgram, AsmError> {
                 )
             }
             Stmt::F32(fs) => {
-                bind_pending(&mut pending, true, n_insts, cursor, &mut code_labels, &mut data_labels)?;
+                bind_pending(
+                    &mut pending,
+                    true,
+                    n_insts,
+                    cursor,
+                    &mut code_labels,
+                    &mut data_labels,
+                )?;
                 emit(
                     &mut cur_seg,
                     &mut cursor,
@@ -149,11 +174,25 @@ pub fn assemble(src: &str, default_name: &str) -> Result<AsmProgram, AsmError> {
                 )
             }
             Stmt::Byte(bs) => {
-                bind_pending(&mut pending, true, n_insts, cursor, &mut code_labels, &mut data_labels)?;
+                bind_pending(
+                    &mut pending,
+                    true,
+                    n_insts,
+                    cursor,
+                    &mut code_labels,
+                    &mut data_labels,
+                )?;
                 emit(&mut cur_seg, &mut cursor, bs.iter().copied())
             }
             Stmt::Zero(n) => {
-                bind_pending(&mut pending, true, n_insts, cursor, &mut code_labels, &mut data_labels)?;
+                bind_pending(
+                    &mut pending,
+                    true,
+                    n_insts,
+                    cursor,
+                    &mut code_labels,
+                    &mut data_labels,
+                )?;
                 flush(&mut cur_seg, &mut segments);
                 cursor += n;
             }
@@ -161,7 +200,14 @@ pub fn assemble(src: &str, default_name: &str) -> Result<AsmProgram, AsmError> {
                 pending.push((name.clone(), line.no, *col));
             }
             Stmt::Inst(_) => {
-                bind_pending(&mut pending, false, n_insts, cursor, &mut code_labels, &mut data_labels)?;
+                bind_pending(
+                    &mut pending,
+                    false,
+                    n_insts,
+                    cursor,
+                    &mut code_labels,
+                    &mut data_labels,
+                )?;
                 if in_data {
                     flush(&mut cur_seg, &mut segments);
                     in_data = false;
@@ -179,7 +225,14 @@ pub fn assemble(src: &str, default_name: &str) -> Result<AsmProgram, AsmError> {
     }
     // A trailing label (nothing emitted after it) is a code label one
     // past the last instruction — a legal branch target.
-    bind_pending(&mut pending, false, n_insts, cursor, &mut code_labels, &mut data_labels)?;
+    bind_pending(
+        &mut pending,
+        false,
+        n_insts,
+        cursor,
+        &mut code_labels,
+        &mut data_labels,
+    )?;
     flush(&mut cur_seg, &mut segments);
 
     if n_insts == 0 {
@@ -228,11 +281,7 @@ pub fn assemble(src: &str, default_name: &str) -> Result<AsmProgram, AsmError> {
     })
 }
 
-fn emit(
-    cur_seg: &mut Option<DataSegment>,
-    cursor: &mut u64,
-    bytes: impl IntoIterator<Item = u8>,
-) {
+fn emit(cur_seg: &mut Option<DataSegment>, cursor: &mut u64, bytes: impl IntoIterator<Item = u8>) {
     let seg = cur_seg.get_or_insert_with(|| DataSegment {
         addr: *cursor,
         bytes: Vec::new(),
@@ -345,12 +394,15 @@ impl<'a> Enc<'a> {
                     format!("unknown data label `{s}` (a code address is written `@{s}`)"),
                 )
             }),
-            OperandKind::CodeAddr(s) => self.code_target_of(s, o.col).map(|idx| {
-                (CODE_BASE + idx as u64 * INST_BYTES) as i64
-            }),
+            OperandKind::CodeAddr(s) => self
+                .code_target_of(s, o.col)
+                .map(|idx| (CODE_BASE + idx as u64 * INST_BYTES) as i64),
             _ => Err(self.err_at(
                 o.col,
-                format!("operand {} of `li` must be `#imm`, a data label, or `@label`", i + 1),
+                format!(
+                    "operand {} of `li` must be `#imm`, a data label, or `@label`",
+                    i + 1
+                ),
             )),
         }
     }
@@ -412,11 +464,7 @@ impl<'a> Enc<'a> {
             Some(s) if allowed.contains(&s) => Ok(s),
             Some(s) => Err(self.err_at(
                 self.si.col,
-                format!(
-                    "`{}` access size .{s} not in {:?}",
-                    self.mnem(),
-                    allowed
-                ),
+                format!("`{}` access size .{s} not in {:?}", self.mnem(), allowed),
             )),
         }
     }

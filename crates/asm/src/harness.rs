@@ -69,7 +69,10 @@ pub enum ExpectLhs {
     /// FP register `f<n>`.
     F(u8),
     /// Memory word at `addr`, read unsigned with `size` bytes.
-    Mem { addr: u64, size: u8 },
+    Mem {
+        addr: u64,
+        size: u8,
+    },
     /// Fraction of executed instructions in an [`OpClass`].
     ClassFrac(OpClass),
 }
@@ -133,7 +136,10 @@ fn trap_name(err: Option<&EmuError>) -> &'static str {
 
 /// Map class names used by `;; expect: class[...]` to [`OpClass`].
 pub fn class_by_name(name: &str) -> Option<OpClass> {
-    OpClass::ALL.iter().copied().find(|c| class_name(*c) == name)
+    OpClass::ALL
+        .iter()
+        .copied()
+        .find(|c| class_name(*c) == name)
 }
 
 /// The `;; expect:` spelling of an [`OpClass`].
@@ -336,7 +342,10 @@ fn check_one(ap: &AsmProgram, exec: &Execution<'_>, e: &Expect) -> Result<(), St
             if e.cmp.holds(actual, want) {
                 Ok(())
             } else {
-                fail(&format!("class[{}]", class_name(*c)), format!("{actual:.4}"))
+                fail(
+                    &format!("class[{}]", class_name(*c)),
+                    format!("{actual:.4}"),
+                )
             }
         }
     }
@@ -345,7 +354,10 @@ fn check_one(ap: &AsmProgram, exec: &Execution<'_>, e: &Expect) -> Result<(), St
 fn int_value(e: &Expect) -> Result<i64, String> {
     match &e.value {
         ExpectValue::Int(v) => Ok(*v),
-        other => Err(format!("line {}: expected an integer, got `{other}`", e.line)),
+        other => Err(format!(
+            "line {}: expected an integer, got `{other}`",
+            e.line
+        )),
     }
 }
 
@@ -376,8 +388,8 @@ pub fn golden_check(src: &str, default_name: &str) -> Result<String, String> {
 
     // Round-trip anchor: canonical text must re-assemble bit-identically.
     let text = disassemble(&ap.program);
-    let back = assemble(&text, default_name)
-        .map_err(|e| format!("round-trip reassembly failed: {e}"))?;
+    let back =
+        assemble(&text, default_name).map_err(|e| format!("round-trip reassembly failed: {e}"))?;
     if back.program.insts != ap.program.insts
         || back.program.data != ap.program.data
         || back.program.entry != ap.program.entry
@@ -387,10 +399,7 @@ pub fn golden_check(src: &str, default_name: &str) -> Result<String, String> {
     }
 
     let exec = execute(&ap, 0);
-    let expects_trap = ap
-        .expects
-        .iter()
-        .any(|e| matches!(e.lhs, ExpectLhs::Trap));
+    let expects_trap = ap.expects.iter().any(|e| matches!(e.lhs, ExpectLhs::Trap));
     if let Some(t) = &exec.trap {
         if !expects_trap {
             return Err(trap_diagnostic(&ap, t));

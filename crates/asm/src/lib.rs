@@ -49,8 +49,7 @@ pub mod parser;
 pub use disasm::{disassemble, inst_text};
 pub use encoder::{assemble, AsmProgram};
 pub use harness::{
-    check_expects, execute, golden_check, trap_diagnostic, Execution, TrapInfo,
-    DEFAULT_MAX_INSTRS,
+    check_expects, execute, golden_check, trap_diagnostic, Execution, TrapInfo, DEFAULT_MAX_INSTRS,
 };
 
 /// An assembly-time diagnostic with a 1-based source position.

@@ -280,8 +280,9 @@ impl Cur {
             return Err(AsmError::new(self.line, start, "expected a number"));
         }
         let radix = if hex { 16 } else { 10 };
-        u64::from_str_radix(&digits, radix)
-            .map_err(|_| AsmError::new(self.line, start, format!("integer `{digits}` out of range")))
+        u64::from_str_radix(&digits, radix).map_err(|_| {
+            AsmError::new(self.line, start, format!("integer `{digits}` out of range"))
+        })
     }
 
     /// Signed integer literal. Decimal or hex magnitudes up to `u64::MAX`
@@ -762,7 +763,9 @@ fn parse_expect(cur: &mut Cur, line: usize) -> Result<Expect, AsmError> {
                 }
                 cur.skip_ws();
                 let name_col = cur.col();
-                let name = cur.ident().ok_or_else(|| cur.err("expected a class name"))?;
+                let name = cur
+                    .ident()
+                    .ok_or_else(|| cur.err("expected a class name"))?;
                 let class = class_by_name(&name).ok_or_else(|| {
                     AsmError::new(line, name_col, format!("unknown op class `{name}`"))
                 })?;

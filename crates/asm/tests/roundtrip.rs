@@ -83,8 +83,8 @@ fn random_inst(g: &mut Gen, n_insts: u64) -> Inst {
         }
         2 => Inst::new(Op::Mov).with_dst(g.xr()).with_src(g.xr()),
         3 => {
-            let op = [Op::Fadd, Op::Fsub, Op::Fmul, Op::Fdiv, Op::Fmin, Op::Fmax]
-                [g.below(6) as usize];
+            let op =
+                [Op::Fadd, Op::Fsub, Op::Fmul, Op::Fdiv, Op::Fmin, Op::Fmax][g.below(6) as usize];
             Inst::new(op)
                 .with_dst(g.fr())
                 .with_src(g.fr())

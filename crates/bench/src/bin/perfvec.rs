@@ -120,9 +120,7 @@ fn cmd_asm(args: &[String]) -> ExitCode {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--max" => {
-                    let raw = it
-                        .next()
-                        .unwrap_or_else(|| die("missing value for --max"));
+                    let raw = it.next().unwrap_or_else(|| die("missing value for --max"));
                     max = raw
                         .parse()
                         .unwrap_or_else(|_| die(&format!("bad value {raw:?} for --max")));
@@ -604,17 +602,29 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let total = specs.len();
     for (i, spec) in specs.iter().enumerate() {
         if total > 1 {
-            perfvec_obs::info!("perfvec", "[perfvec] run {}/{total}: {}", i + 1, spec.kind.name());
+            perfvec_obs::info!(
+                "perfvec",
+                "[perfvec] run {}/{total}: {}",
+                i + 1,
+                spec.kind.name()
+            );
         }
         if !runner::execute(spec) {
             if total > 1 {
-                perfvec_obs::warn!("perfvec", "[perfvec] sweep aborted at run {}/{total}", i + 1);
+                perfvec_obs::warn!(
+                    "perfvec",
+                    "[perfvec] sweep aborted at run {}/{total}",
+                    i + 1
+                );
             }
             return ExitCode::FAILURE;
         }
     }
     if total > 1 {
-        perfvec_obs::info!("perfvec", "[perfvec] sweep complete: {total}/{total} runs ok");
+        perfvec_obs::info!(
+            "perfvec",
+            "[perfvec] sweep complete: {total}/{total} runs ok"
+        );
     }
     ExitCode::SUCCESS
 }

@@ -281,7 +281,8 @@ impl DatasetCache {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LoadOutcome::Absent,
             Err(e) => {
-                perfvec_obs::warn!("cache",
+                perfvec_obs::warn!(
+                    "cache",
                     "[cache] unreadable entry {}: {e}; regenerating",
                     path.display()
                 );
@@ -304,7 +305,8 @@ impl DatasetCache {
                 LoadOutcome::Corrupt
             }
             Err(e) => {
-                perfvec_obs::warn!("cache", 
+                perfvec_obs::warn!(
+                    "cache",
                     "[cache] corrupt entry {}: {e}; regenerating",
                     path.display()
                 );
@@ -350,9 +352,17 @@ pub fn workload_datasets(
         // stem is fixed and the stored name is advisory, so renaming a
         // `.pasm` file still hits (the display name is restored below).
         let external = w.external_program().is_some();
-        let stem = if external { "external" } else { w.name.as_str() };
+        let stem = if external {
+            "external"
+        } else {
+            w.name.as_str()
+        };
         let path = cache.path_for_key(stem, key);
-        let expect_name = if external { None } else { Some(w.name.as_str()) };
+        let expect_name = if external {
+            None
+        } else {
+            Some(w.name.as_str())
+        };
         let slot = match &path {
             Some(p) => match cache.load(p, expect_name, configs.len()) {
                 LoadOutcome::Hit(mut d) => {
@@ -414,7 +424,11 @@ pub fn workload_datasets(
                 // Best effort: a full disk or read-only cache dir costs
                 // the speedup, never the run.
                 if let Err(e) = cache.publish(path, &d) {
-                    perfvec_obs::warn!("cache", "[cache] failed to publish {}: {e}", path.display());
+                    perfvec_obs::warn!(
+                        "cache",
+                        "[cache] failed to publish {}: {e}",
+                        path.display()
+                    );
                 }
             }
             slots[i] = Some(d);

@@ -110,8 +110,8 @@ pub fn resolve_suite(spec: &ExperimentSpec) -> Result<ResolvedSuite, String> {
     let mut workloads: Vec<Workload> = Vec::new();
     let mut externals: Vec<(usize, ExternalSource)> = Vec::new();
     let push_external = |workloads: &mut Vec<Workload>,
-                             externals: &mut Vec<(usize, ExternalSource)>,
-                             token: &str|
+                         externals: &mut Vec<(usize, ExternalSource)>,
+                         token: &str|
      -> Result<(), String> {
         let src = load_external(token)?;
         let w = Workload::external(src.ap.program.clone(), SuiteRole::Testing);
@@ -124,7 +124,11 @@ pub fn resolve_suite(spec: &ExperimentSpec) -> Result<ResolvedSuite, String> {
     if selection.is_empty() {
         workloads = suite();
     } else {
-        for token in selection.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+        for token in selection
+            .split(',')
+            .map(str::trim)
+            .filter(|t| !t.is_empty())
+        {
             if is_program_path(token) {
                 push_external(&mut workloads, &mut externals, token)?;
             } else {
@@ -193,7 +197,10 @@ pub fn sim_bench_externals(spec: &ExperimentSpec) -> Result<Vec<Workload>, Strin
     let mut out = Vec::new();
     for token in list.split(',').map(str::trim).filter(|t| !t.is_empty()) {
         let src = load_external(token)?;
-        out.push(Workload::external(src.ap.program.clone(), SuiteRole::Testing));
+        out.push(Workload::external(
+            src.ap.program.clone(),
+            SuiteRole::Testing,
+        ));
     }
     Ok(out)
 }

@@ -76,11 +76,7 @@ pub fn execute(spec: &ExperimentSpec) -> bool {
                     );
                     return false;
                 }
-                perfvec_obs::info!(
-                    "perfvec",
-                    "[perfvec] report written to {}",
-                    path.display()
-                );
+                perfvec_obs::info!("perfvec", "[perfvec] report written to {}", path.display());
             }
             true
         }

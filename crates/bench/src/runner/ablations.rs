@@ -51,7 +51,10 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
     let scale = spec.scale;
     let t0 = std::time::Instant::now();
     let trace_len = spec.trace_len_or(scale.trace_len() / 2);
-    perfvec_obs::info!("ablations", "[ablation_data] generating datasets ({trace_len} instrs/program)...");
+    perfvec_obs::info!(
+        "ablations",
+        "[ablation_data] generating datasets ({trace_len} instrs/program)..."
+    );
     let configs = spec.march_configs();
     let cache = spec.dataset_cache();
     let t_data = std::time::Instant::now();
@@ -64,7 +67,8 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
     );
     report.phase("datasets", t_data.elapsed().as_secs_f64());
     report.absorb_cache(cstats);
-    perfvec_obs::info!("ablations", 
+    perfvec_obs::info!(
+        "ablations",
         "[ablation_data] datasets ready in {:.1}s ({})",
         t_data.elapsed().as_secs_f64(),
         cstats.summary()
@@ -84,7 +88,8 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
             .collect();
         let trained = crate::pipeline::train(&subset, &cfg)?;
         let err = eval_unseen_programs(&trained, &data.test);
-        perfvec_obs::info!("ablations", 
+        perfvec_obs::info!(
+            "ablations",
             "[ablation_data] {pct:>3}% of instructions -> unseen error {:.1}%",
             err * 100.0
         );
@@ -105,7 +110,10 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
     report.metric("volume_sweep", Json::Arr(volume_rows));
 
     // --- (b) microarchitecture-count sweep: 20 vs 77 machines ---
-    perfvec_obs::info!("ablations", "[ablation_data] microarchitecture-count sweep (20 vs 77)...");
+    perfvec_obs::info!(
+        "ablations",
+        "[ablation_data] microarchitecture-count sweep (20 vs 77)..."
+    );
     let t_sweep = std::time::Instant::now();
     let unseen_m = unseen_population(spec.seed);
     let tuning_workloads: Vec<Workload> = suite()
@@ -137,7 +145,8 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
         let mut s = ustats;
         s.absorb(vstats);
         report.absorb_cache(s);
-        perfvec_obs::info!("ablations", 
+        perfvec_obs::info!(
+            "ablations",
             "[ablation_data] unseen-machine datasets ready in {:.1}s ({})",
             t_sweep.elapsed().as_secs_f64(),
             s.summary()
@@ -177,7 +186,8 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
                 .collect();
             subset_mean(&rows, false)
         };
-        perfvec_obs::info!("ablations", 
+        perfvec_obs::info!(
+            "ablations",
             "[ablation_data] {k} machines -> unseen-program {:.1}%, unseen-march {:.1}%",
             prog_err * 100.0,
             march_err * 100.0
@@ -250,7 +260,8 @@ pub fn ablation_features(spec: &ExperimentSpec, report: &mut Report) -> Result<(
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
     report.absorb_cache(cstats);
-    perfvec_obs::info!("ablations", 
+    perfvec_obs::info!(
+        "ablations",
         "[ablation_features] datasets ready in {data_secs:.1}s ({})",
         cstats.summary()
     );
@@ -277,7 +288,10 @@ pub fn ablation_features(spec: &ExperimentSpec, report: &mut Report) -> Result<(
         subset_mean(&rows, false)
     };
 
-    perfvec_obs::info!("ablations", "[ablation_features] training with all 51 features...");
+    perfvec_obs::info!(
+        "ablations",
+        "[ablation_features] training with all 51 features..."
+    );
     let t_full = std::time::Instant::now();
     let full = crate::pipeline::train(&data.train, &cfg)?;
     let full_err = eval(&full, &data.test);
@@ -338,7 +352,8 @@ pub fn train_opt(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
     report.absorb_cache(cstats);
-    perfvec_obs::info!("ablations", 
+    perfvec_obs::info!(
+        "ablations",
         "[train_opt] datasets ready in {data_secs:.1}s ({})",
         cstats.summary()
     );
@@ -448,7 +463,8 @@ pub fn tune_ridge(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunE
     };
     report.phase("datasets", t_data.elapsed().as_secs_f64());
     report.absorb_cache(cstats);
-    perfvec_obs::info!("ablations", 
+    perfvec_obs::info!(
+        "ablations",
         "[tune_ridge] datasets ready in {:.1}s ({})",
         t_data.elapsed().as_secs_f64(),
         cstats.summary()
@@ -468,7 +484,10 @@ pub fn tune_ridge(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunE
         cfg.windows_per_epoch = w.parse().unwrap();
     }
     let trained = crate::pipeline::train(&data.train, &cfg)?;
-    perfvec_obs::info!("ablations", "trained; accumulating normal equations + reps...");
+    perfvec_obs::info!(
+        "ablations",
+        "trained; accumulating normal equations + reps..."
+    );
     let eq = accumulate_normal_equations(&trained.foundation, &data.train);
     let reps: Vec<(String, bool, Vec<f32>, Vec<f64>)> = data
         .train

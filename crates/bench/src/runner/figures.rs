@@ -52,7 +52,8 @@ pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
     // Run every external program once before dataset generation: a trap
     // must surface its source diagnostic, not a panic mid-pipeline.
     crate::programs::preflight(&resolved, trace_len).map_err(RunError)?;
-    perfvec_obs::info!("figures",
+    perfvec_obs::info!(
+        "figures",
         "[{tag}] generating datasets ({} programs x {} microarchitectures)...",
         resolved.workloads.len(),
         configs.len()
@@ -72,7 +73,8 @@ pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
     report.absorb_cache(cstats);
-    perfvec_obs::info!("figures", 
+    perfvec_obs::info!(
+        "figures",
         "[{tag}] datasets ready in {data_secs:.1}s ({}); training foundation model...",
         cstats.summary()
     );
@@ -82,7 +84,8 @@ pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
     let trained = train_and_refit(&data, &cfg)?;
     let train_secs = t_train.elapsed().as_secs_f64();
     report.phase("train", train_secs);
-    perfvec_obs::info!("figures", 
+    perfvec_obs::info!(
+        "figures",
         "[{tag}] trained {} in {:.1}s (best epoch {}, val loss {:.4})",
         trained.foundation.describe(),
         trained.report.wall_seconds,
@@ -145,13 +148,17 @@ pub fn fig4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
     report.absorb_cache(cstats);
-    perfvec_obs::info!("figures", 
+    perfvec_obs::info!(
+        "figures",
         "[fig4] datasets ready in {data_secs:.1}s ({})",
         cstats.summary()
     );
     let cfg = scale.train_config();
 
-    perfvec_obs::info!("figures", "[fig4] training on the Table II split (lbm unseen)...");
+    perfvec_obs::info!(
+        "figures",
+        "[fig4] training on the Table II split (lbm unseen)..."
+    );
     let t_train = std::time::Instant::now();
     let base = train_and_refit(&data, &cfg)?;
     let base_secs = t_train.elapsed().as_secs_f64();
@@ -169,7 +176,8 @@ pub fn fig4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         }
     }
     let moved = SuiteData { train, test };
-    perfvec_obs::info!("figures", 
+    perfvec_obs::info!(
+        "figures",
         "[fig4] base model in {base_secs:.1}s; retraining with 519.lbm-like in the training set..."
     );
     let t_retrain = std::time::Instant::now();
@@ -230,7 +238,10 @@ pub fn fig4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
 pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
     let t0 = std::time::Instant::now();
-    perfvec_obs::info!("figures", "[fig5] generating datasets + training foundation...");
+    perfvec_obs::info!(
+        "figures",
+        "[fig5] generating datasets + training foundation..."
+    );
     let configs = spec.march_configs();
     let cache = spec.dataset_cache();
     let trace_len = spec.trace_len_or(scale.trace_len());
@@ -245,7 +256,8 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
     report.absorb_cache(cstats);
-    perfvec_obs::info!("figures", 
+    perfvec_obs::info!(
+        "figures",
         "[fig5] datasets ready in {data_secs:.1}s ({})",
         cstats.summary()
     );
@@ -256,7 +268,8 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
 
     // 10 fresh machines; tuning data = 3 seen programs simulated on them.
     let unseen = unseen_population(spec.seed);
-    perfvec_obs::info!("figures", 
+    perfvec_obs::info!(
+        "figures",
         "[fig5] fine-tuning representations of {} unseen machines...",
         unseen.len()
     );
@@ -314,7 +327,11 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     }
     let eval_secs = t_eval.elapsed().as_secs_f64();
     report.phase("eval", eval_secs);
-    perfvec_obs::info!("figures", "[fig5] evaluated in {eval_secs:.1}s ({})", estats.summary());
+    perfvec_obs::info!(
+        "figures",
+        "[fig5] evaluated in {eval_secs:.1}s ({})",
+        estats.summary()
+    );
     println!(
         "{}",
         error_chart(
@@ -350,7 +367,10 @@ pub fn fig6(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     // one another, so every candidate gets the same smaller dataset and
     // schedule.
     let trace_len = spec.trace_len_or(scale.trace_len() / 2);
-    perfvec_obs::info!("figures", "[fig6] generating ablation datasets ({trace_len} instrs/program)...");
+    perfvec_obs::info!(
+        "figures",
+        "[fig6] generating ablation datasets ({trace_len} instrs/program)..."
+    );
     let configs = spec.march_configs();
     let cache = spec.dataset_cache();
     let t_data = std::time::Instant::now();
@@ -364,7 +384,8 @@ pub fn fig6(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
     report.absorb_cache(cstats);
-    perfvec_obs::info!("figures", 
+    perfvec_obs::info!(
+        "figures",
         "[fig6] datasets ready in {data_secs:.1}s ({})",
         cstats.summary()
     );
@@ -485,7 +506,8 @@ pub fn fig6(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         if streams {
             let stream_err = stream_errs.iter().sum::<f64>() / stream_errs.len() as f64;
             arch_row.push(("streaming_error".to_string(), Json::Num(stream_err)));
-            perfvec_obs::info!("figures", 
+            perfvec_obs::info!(
+                "figures",
                 "[fig6] {:<18} unseen error {:5.1}%  (streaming fast path {:5.1}%)  ({:.0}s train)",
                 name,
                 unseen_err * 100.0,
@@ -493,7 +515,8 @@ pub fn fig6(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
                 trained.report.wall_seconds
             );
         } else {
-            perfvec_obs::info!("figures", 
+            perfvec_obs::info!(
+                "figures",
                 "[fig6] {:<18} unseen error {:5.1}%  ({:.0}s train)",
                 name,
                 unseen_err * 100.0,
@@ -540,7 +563,8 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
     report.absorb_cache(cstats);
-    perfvec_obs::info!("figures", 
+    perfvec_obs::info!(
+        "figures",
         "[fig7] datasets ready in {data_secs:.1}s ({})",
         cstats.summary()
     );
@@ -570,7 +594,10 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         .iter()
         .map(|&(l1, l2)| cache_param_vector(l1, l2))
         .collect();
-    perfvec_obs::info!("figures", "[fig7] collecting DSE tuning data (18 configs x 3 programs)...");
+    perfvec_obs::info!(
+        "figures",
+        "[fig7] collecting DSE tuning data (18 configs x 3 programs)..."
+    );
     let t_tune = std::time::Instant::now();
     let tuning_workloads: Vec<_> = suite().into_iter().take(3).collect();
     let (tuning, tstats) = workload_datasets(
@@ -582,7 +609,8 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         spec.shard_plan(),
     );
     report.absorb_cache(tstats);
-    perfvec_obs::info!("figures", 
+    perfvec_obs::info!(
+        "figures",
         "[fig7] tuning data ready in {:.1}s ({})",
         t_tune.elapsed().as_secs_f64(),
         tstats.summary()
@@ -590,7 +618,10 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     report.phase("tuning_data", t_tune.elapsed().as_secs_f64());
 
     // --- step 2: train the microarchitecture representation model.
-    perfvec_obs::info!("figures", "[fig7] training the cache-size representation model...");
+    perfvec_obs::info!(
+        "figures",
+        "[fig7] training the cache-size representation model..."
+    );
     let cached = cache_representations(&trained.foundation, &tuning, 5_000, 0x715e);
     let (march_model, loss) = train_march_model(
         &cached,
@@ -602,7 +633,10 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
             ..Default::default()
         },
     );
-    perfvec_obs::info!("figures", "[fig7] representation model trained (loss {loss:.4}); sweeping the grid...");
+    perfvec_obs::info!(
+        "figures",
+        "[fig7] representation model trained (loss {loss:.4}); sweeping the grid..."
+    );
 
     // --- step 3: sweep all programs over the full grid.
     let t_sweep = std::time::Instant::now();
@@ -716,7 +750,8 @@ pub fn fig8(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
     report.absorb_cache(cstats);
-    perfvec_obs::info!("figures", 
+    perfvec_obs::info!(
+        "figures",
         "[fig8] datasets ready in {data_secs:.1}s ({})",
         cstats.summary()
     );
@@ -756,7 +791,8 @@ pub fn fig8(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         let rp = program_representation_streaming(&trained.foundation, &feats, 8_192, 64)
             .expect("LSTM foundation streams");
         let pred = predict_total_tenths(&rp, &a7_rep, trained.foundation.target_scale);
-        perfvec_obs::info!("figures", 
+        perfvec_obs::info!(
+            "figures",
             "[fig8] tile {tile:>3}: {} instrs, sim {:.3} ms, perfvec {:.3} ms",
             trace.len(),
             sim.total_tenths * 1e-7,

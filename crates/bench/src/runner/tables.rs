@@ -42,7 +42,10 @@ use std::time::Instant;
 pub fn table3(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
     let t0 = Instant::now();
-    perfvec_obs::info!("tables", "[table3] preparing a common workload and small models...");
+    perfvec_obs::info!(
+        "tables",
+        "[table3] preparing a common workload and small models..."
+    );
     let trace_len = spec.trace_len_or(scale.trace_len());
     let workloads = [by_name("xz").unwrap()];
     let trace = workloads[0].trace(trace_len);
@@ -99,7 +102,8 @@ pub fn table3(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
     let data = datasets.remove(0);
     report.absorb_cache(dstats);
     report.phase("datasets", t_data.elapsed().as_secs_f64());
-    perfvec_obs::info!("tables", 
+    perfvec_obs::info!(
+        "tables",
         "[table3] PerfVec dataset ready in {:.1}s ({})",
         t_data.elapsed().as_secs_f64(),
         dstats.summary()
@@ -243,7 +247,10 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
     let trace_len = spec.trace_len_or(scale.trace_len());
     let cache = spec.dataset_cache();
 
-    perfvec_obs::info!("tables", "[table4] exhaustive ground truth (17 programs x 36 configs)...");
+    perfvec_obs::info!(
+        "tables",
+        "[table4] exhaustive ground truth (17 programs x 36 configs)..."
+    );
     let t_exhaustive = Instant::now();
     let traces: Vec<_> = suite()
         .iter()
@@ -270,7 +277,8 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
     report.absorb_cache(gstats);
     let gt_secs = t_exhaustive.elapsed().as_secs_f64();
     report.phase("ground_truth", gt_secs);
-    perfvec_obs::info!("tables", 
+    perfvec_obs::info!(
+        "tables",
         "[table4] ground truth ready in {gt_secs:.1}s ({})",
         gstats.summary()
     );
@@ -403,7 +411,10 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
     report.phase("baselines", t_m.elapsed().as_secs_f64());
 
     // ---- PerfVec ----
-    perfvec_obs::info!("tables", "[table4] PerfVec (foundation pre-training excluded, as in the paper)...");
+    perfvec_obs::info!(
+        "tables",
+        "[table4] PerfVec (foundation pre-training excluded, as in the paper)..."
+    );
     let configs = spec.march_configs();
     let t_data = Instant::now();
     let (data, cstats) = suite_datasets_with(
@@ -415,7 +426,8 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
     );
     report.absorb_cache(cstats);
     report.phase("datasets", t_data.elapsed().as_secs_f64());
-    perfvec_obs::info!("tables", 
+    perfvec_obs::info!(
+        "tables",
         "[table4] foundation datasets ready in {:.1}s ({})",
         t_data.elapsed().as_secs_f64(),
         cstats.summary()
@@ -448,7 +460,11 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
         spec.shard_plan(),
     );
     report.absorb_cache(tstats);
-    perfvec_obs::info!("tables", "[table4] PerfVec tuning data ready ({})", tstats.summary());
+    perfvec_obs::info!(
+        "tables",
+        "[table4] PerfVec tuning data ready ({})",
+        tstats.summary()
+    );
     let cached = cache_representations(&trained.foundation, &tuning, 5_000, 0x715e);
     let (march_model, _) = train_march_model(
         &cached,

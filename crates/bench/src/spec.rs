@@ -125,7 +125,9 @@ impl ExperimentKind {
             ExperimentKind::SimBench => {
                 "simulator throughput + bit-identity (writes BENCH_sim.json)"
             }
-            ExperimentKind::ObsOverhead => "metrics-overhead gate: engine throughput, obs on vs off",
+            ExperimentKind::ObsOverhead => {
+                "metrics-overhead gate: engine throughput, obs on vs off"
+            }
             ExperimentKind::Custom => {
                 "generic pipeline: march subset x feature mask x trace length"
             }

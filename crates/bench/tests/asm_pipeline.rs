@@ -114,7 +114,11 @@ fn external_program_pipeline_is_deterministic_and_content_addressed() {
     let (entry_b, bytes_b) = external_dataset_bytes(&dir_b.join("cache"));
     assert_eq!(entry_a, entry_b, "content key must be run-independent");
     assert_eq!(bytes_a, bytes_b, "dataset bytes must be bit-stable");
-    assert_eq!(metrics_a, report_metrics(&dir_b), "metrics must be bit-stable");
+    assert_eq!(
+        metrics_a,
+        report_metrics(&dir_b),
+        "metrics must be bit-stable"
+    );
 
     // Warm re-run: every dataset comes from the cache.
     let out = run_custom(&dir_a, &dir_a.join("cache"), &program);

@@ -363,11 +363,17 @@ fn trapping_program_reports_pc_index_and_source_line() {
 
 #[test]
 fn asm_subcommand_rejects_bad_usage_loudly() {
-    let out = perfvec().args(["asm", "frobnicate", "x.pasm"]).output().unwrap();
+    let out = perfvec()
+        .args(["asm", "frobnicate", "x.pasm"])
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("frobnicate"), "{}", stderr(&out));
 
-    let out = perfvec().args(["asm", "run", "nope.pasm"]).output().unwrap();
+    let out = perfvec()
+        .args(["asm", "run", "nope.pasm"])
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("nope.pasm"), "{}", stderr(&out));
 }

@@ -38,7 +38,10 @@ impl SuiteData {
     ///
     /// Panics if `parts` does not line up with `workloads` (a logic
     /// error: callers produce `parts` by iterating the same list).
-    pub fn assemble_from(workloads: &[perfvec_workloads::Workload], parts: Vec<ProgramData>) -> SuiteData {
+    pub fn assemble_from(
+        workloads: &[perfvec_workloads::Workload],
+        parts: Vec<ProgramData>,
+    ) -> SuiteData {
         assert_eq!(
             parts.len(),
             workloads.len(),

@@ -212,7 +212,11 @@ impl Histogram {
         HistogramSummary {
             count,
             sum,
-            mean: if count == 0 { 0.0 } else { sum as f64 / count as f64 },
+            mean: if count == 0 {
+                0.0
+            } else {
+                sum as f64 / count as f64
+            },
             p50: self.quantile(0.50),
             p95: self.quantile(0.95),
             p99: self.quantile(0.99),

@@ -20,8 +20,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 pub mod histogram;
 pub mod log;
-pub mod prom;
 mod metrics;
+pub mod prom;
 mod registry;
 mod span;
 

@@ -61,7 +61,9 @@ fn parse_spec(s: &str) -> Option<u8> {
 }
 
 fn env_threshold() -> Option<u8> {
-    std::env::var("PERFVEC_LOG").ok().and_then(|s| parse_spec(&s))
+    std::env::var("PERFVEC_LOG")
+        .ok()
+        .and_then(|s| parse_spec(&s))
 }
 
 /// Initialise the logger with a default level for when `PERFVEC_LOG`
@@ -184,7 +186,10 @@ mod tests {
         assert_eq!(o[0].0, "ts");
         assert_eq!(o[1], ("level".to_string(), Json::Str("info".into())));
         assert_eq!(o[2], ("target".to_string(), Json::Str("serve".into())));
-        assert_eq!(o[3], ("msg".to_string(), Json::Str("hello \"world\"\n".into())));
+        assert_eq!(
+            o[3],
+            ("msg".to_string(), Json::Str("hello \"world\"\n".into()))
+        );
         assert!(!line.contains('\n'), "line must be single-line JSONL");
     }
 

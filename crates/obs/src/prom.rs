@@ -36,7 +36,9 @@ fn parse_labels(s: &str) -> Result<Vec<(String, String)>, String> {
     let mut out = Vec::new();
     let mut rest = inner;
     while !rest.is_empty() {
-        let eq = rest.find('=').ok_or_else(|| format!("label missing '=': {rest}"))?;
+        let eq = rest
+            .find('=')
+            .ok_or_else(|| format!("label missing '=': {rest}"))?;
         let name = &rest[..eq];
         if !is_label_name(name) {
             return Err(format!("bad label name: {name}"));
@@ -120,7 +122,10 @@ pub fn validate(text: &str) -> Result<(), String> {
                 if !is_metric_name(name) {
                     return Err(ctx(format!("bad TYPE metric name: {name}")));
                 }
-                if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+                if !matches!(
+                    kind,
+                    "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                ) {
                     return Err(ctx(format!("unknown metric type: {kind}")));
                 }
                 typed.push((name.to_string(), kind.to_string()));
@@ -143,13 +148,20 @@ pub fn validate(text: &str) -> Result<(), String> {
         }
         let rest = &line[name_end..];
         let (labels, rest) = if rest.starts_with('{') {
-            let close = rest.find('}').ok_or_else(|| ctx("unclosed label block".into()))?;
-            (parse_labels(&rest[..=close]).map_err(&ctx)?, &rest[close + 1..])
+            let close = rest
+                .find('}')
+                .ok_or_else(|| ctx("unclosed label block".into()))?;
+            (
+                parse_labels(&rest[..=close]).map_err(&ctx)?,
+                &rest[close + 1..],
+            )
         } else {
             (Vec::new(), rest)
         };
         let mut fields = rest.split_whitespace();
-        let value = fields.next().ok_or_else(|| ctx(format!("sample missing value: {line}")))?;
+        let value = fields
+            .next()
+            .ok_or_else(|| ctx(format!("sample missing value: {line}")))?;
         if !is_sample_value(value) {
             return Err(ctx(format!("bad sample value: {value}")));
         }
@@ -168,10 +180,13 @@ pub fn validate(text: &str) -> Result<(), String> {
             .or_else(|| name.strip_suffix("_count"))
             .or_else(|| name.strip_suffix("_sum"))
             .unwrap_or(name);
-        let is_hist_family =
-            typed.iter().any(|(n, k)| n == base && k == "histogram");
+        let is_hist_family = typed.iter().any(|(n, k)| n == base && k == "histogram");
         if is_hist_family {
-            let val: f64 = if value == "+Inf" { f64::INFINITY } else { value.parse().unwrap_or(f64::NAN) };
+            let val: f64 = if value == "+Inf" {
+                f64::INFINITY
+            } else {
+                value.parse().unwrap_or(f64::NAN)
+            };
             if name.ends_with("_bucket") {
                 let le_raw = labels
                     .iter()
@@ -181,11 +196,16 @@ pub fn validate(text: &str) -> Result<(), String> {
                 let le = if le_raw == "+Inf" {
                     f64::INFINITY
                 } else {
-                    le_raw.parse::<f64>().map_err(|_| ctx(format!("bad le: {le_raw}")))?
+                    le_raw
+                        .parse::<f64>()
+                        .map_err(|_| ctx(format!("bad le: {le_raw}")))?
                 };
                 let key: Vec<(String, String)> =
                     labels.iter().filter(|(k, _)| k != "le").cloned().collect();
-                match hist.iter_mut().find(|s| s.family == base && s.labels == key) {
+                match hist
+                    .iter_mut()
+                    .find(|s| s.family == base && s.labels == key)
+                {
                     Some(entry) => {
                         if le <= entry.last_le {
                             return Err(ctx(format!("{base} buckets not in increasing le order")));
@@ -222,7 +242,10 @@ pub fn validate(text: &str) -> Result<(), String> {
         if !s.saw_inf {
             return Err(format!("histogram {name} series missing +Inf bucket"));
         }
-        if let Some(c) = counts.iter().find(|c| c.family == *name && c.labels == s.labels) {
+        if let Some(c) = counts
+            .iter()
+            .find(|c| c.family == *name && c.labels == s.labels)
+        {
             if c.value != s.last_cum {
                 return Err(format!(
                     "histogram {name} _count {} != +Inf bucket {}",

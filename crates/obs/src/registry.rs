@@ -119,8 +119,10 @@ impl Registry {
         for (k, _) in labels {
             assert!(valid_label_name(k), "invalid label name: {k}");
         }
-        let owned: Vec<(String, String)> =
-            labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+        let owned: Vec<(String, String)> = labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
         let mut fams = self.families.lock().expect("obs registry poisoned");
         let fam = match fams.iter_mut().find(|f| f.name == name) {
             Some(f) => {
@@ -146,7 +148,10 @@ impl Registry {
             return s.instrument.clone();
         }
         let instrument = make();
-        fam.series.push(Series { labels: owned, instrument: instrument.clone() });
+        fam.series.push(Series {
+            labels: owned,
+            instrument: instrument.clone(),
+        });
         instrument
     }
 
@@ -192,12 +197,22 @@ impl Registry {
             for s in &fam.series {
                 match &s.instrument {
                     Instrument::Counter(c) => {
-                        let _ =
-                            writeln!(out, "{}{} {}", fam.name, render_labels(&s.labels, None), c.get());
+                        let _ = writeln!(
+                            out,
+                            "{}{} {}",
+                            fam.name,
+                            render_labels(&s.labels, None),
+                            c.get()
+                        );
                     }
                     Instrument::Gauge(g) => {
-                        let _ =
-                            writeln!(out, "{}{} {}", fam.name, render_labels(&s.labels, None), g.get());
+                        let _ = writeln!(
+                            out,
+                            "{}{} {}",
+                            fam.name,
+                            render_labels(&s.labels, None),
+                            g.get()
+                        );
                     }
                     Instrument::Histogram(h) => {
                         // Snapshot buckets once so cumulative counts,
@@ -293,7 +308,8 @@ mod tests {
     #[test]
     fn render_counter_and_gauge() {
         let r = Registry::new();
-        r.counter("c_total", "a counter", &[("k", "v\"q\\n")]).add(3);
+        r.counter("c_total", "a counter", &[("k", "v\"q\\n")])
+            .add(3);
         r.gauge("g_now", "a gauge", &[]).set(-2);
         let text = r.render();
         assert!(text.contains("# HELP c_total a counter"));

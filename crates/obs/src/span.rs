@@ -19,7 +19,10 @@ pub struct Span {
 impl Span {
     /// Start a span now.
     pub fn start(name: impl Into<String>) -> Self {
-        Self { name: name.into(), start: Instant::now() }
+        Self {
+            name: name.into(),
+            start: Instant::now(),
+        }
     }
 
     pub fn name(&self) -> &str {

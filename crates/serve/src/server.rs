@@ -75,7 +75,13 @@ pub struct ServerShared {
 /// Routes that get their own `route` label on the HTTP metric
 /// families; anything else folds into `"other"` so unknown paths
 /// cannot inflate series cardinality.
-const LABELED_ROUTES: [&str; 5] = ["/healthz", "/v1/models", "/v1/stats", "/v1/predict", "/metrics"];
+const LABELED_ROUTES: [&str; 5] = [
+    "/healthz",
+    "/v1/models",
+    "/v1/stats",
+    "/v1/predict",
+    "/metrics",
+];
 
 /// Per-route request counter + latency histogram, pre-registered at
 /// startup so the request path never takes the registry lock.
@@ -105,7 +111,11 @@ impl RouteObs {
     }
 
     fn observe(&self, path: &str, micros: u64) {
-        let label = if LABELED_ROUTES.contains(&path) { path } else { "other" };
+        let label = if LABELED_ROUTES.contains(&path) {
+            path
+        } else {
+            "other"
+        };
         if let Some((_, reqs, lat)) = self.series.iter().find(|(r, ..)| *r == label) {
             reqs.inc();
             lat.record(micros);

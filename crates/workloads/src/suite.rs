@@ -50,7 +50,12 @@ pub struct Workload {
 
 impl Workload {
     /// Register a built-in kernel.
-    fn builtin(name: &str, kind: WorkloadKind, role: SuiteRole, build: fn() -> Program) -> Workload {
+    fn builtin(
+        name: &str,
+        kind: WorkloadKind,
+        role: SuiteRole,
+        build: fn() -> Program,
+    ) -> Workload {
         Workload {
             name: name.to_string(),
             kind,
@@ -71,7 +76,11 @@ impl Workload {
         });
         Workload {
             name: program.name.clone(),
-            kind: if fp { WorkloadKind::Fp } else { WorkloadKind::Int },
+            kind: if fp {
+                WorkloadKind::Fp
+            } else {
+                WorkloadKind::Int
+            },
             role,
             source: WorkloadSource::External(Arc::new(program)),
         }
@@ -135,7 +144,12 @@ pub fn suite() -> Vec<Workload> {
             kernels_int::exchange2_like,
         ),
         Workload::builtin("557.xz-like", Int, Training, kernels_int::xz_like),
-        Workload::builtin("999.specrand-like", Int, Training, kernels_int::specrand_like),
+        Workload::builtin(
+            "999.specrand-like",
+            Int,
+            Training,
+            kernels_int::specrand_like,
+        ),
         // ---- training, FP ----
         Workload::builtin("527.cam4-like", Fp, Training, kernels_fp::cam4_like),
         Workload::builtin("538.imagick-like", Fp, Training, kernels_fp::imagick_like),
@@ -162,7 +176,12 @@ pub fn suite() -> Vec<Workload> {
             kernels_int::xalancbmk_like,
         ),
         // ---- testing, FP ----
-        Workload::builtin("507.cactuBSSN-like", Fp, Testing, kernels_fp::cactubssn_like),
+        Workload::builtin(
+            "507.cactuBSSN-like",
+            Fp,
+            Testing,
+            kernels_fp::cactubssn_like,
+        ),
         Workload::builtin("508.namd-like", Fp, Testing, kernels_fp::namd_like),
         Workload::builtin("519.lbm-like", Fp, Testing, kernels_fp::lbm_like),
         Workload::builtin("521.wrf-like", Fp, Testing, kernels_fp::wrf_like),
