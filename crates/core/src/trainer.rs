@@ -800,7 +800,7 @@ mod tests {
         use crate::foundation::ArchKind;
         use perfvec_ml::parallel::parallel_map;
         let data = tiny_dataset();
-        for kind in [ArchKind::Lstm, ArchKind::BiLstm] {
+        for kind in [ArchKind::Lstm, ArchKind::BiLstm, ArchKind::Gru] {
             let cfg = TrainConfig {
                 arch: ArchSpec {
                     kind,

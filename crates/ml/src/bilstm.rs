@@ -68,6 +68,12 @@ impl BiLstmBatchCache {
     pub fn batch(&self) -> usize {
         self.fwd.batch()
     }
+
+    /// Lane parts each direction stack ran as (both stacks have the same
+    /// shape, so they split alike).
+    pub fn lane_parts(&self) -> usize {
+        self.fwd.lane_parts()
+    }
 }
 
 impl BiLstm {

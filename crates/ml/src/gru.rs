@@ -1,16 +1,30 @@
 //! Gated recurrent unit layers (one of the Figure 6 ablation
 //! architectures).
+//!
+//! [`Gru`] is the shared multi-layer model of [`crate::rnn`] over the
+//! GRU cell: this file holds only the cell's math, the scalar
+//! full-sequence passes and streaming step (the oracle), and the gate
+//! and delta chunks of the batched passes.
 
-use crate::init::seeded_rng;
-use crate::window::{store_slots, Columns, InputWeights, Window};
+use crate::rnn::{Cell, Recurrent, RecurrentBatchCache, RecurrentCache, RecurrentState, StepView};
 // Fast activations by design: scalar and batched paths share the same
 // straight-line-arithmetic functions so batched inference stays
 // bit-identical to scalar inference while its inner loops vectorize
 // (see `tensor::tanh_apx`).
 use crate::tensor::{
-    bm_to_seq, fill_rows_bm, for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc,
-    outer_acc, seq_to_bm, sigmoid_apx, tanh_apx, BatchInput,
+    for_lane_chunks, gemm_bm_acc, gemv_acc, gemv_t_acc, outer_acc, sigmoid_apx, tanh_apx,
 };
+
+/// Multi-layer GRU with contiguous parameters.
+pub type Gru = Recurrent<GruLayerShape>;
+/// Forward cache for [`Gru::forward`].
+pub type GruCache = RecurrentCache<GruLayerShape>;
+/// Forward cache for [`Gru::forward_batch_cached`].
+pub type GruBatchCache = RecurrentBatchCache;
+/// Streaming hidden state for a multi-layer GRU (the GRU is stateful by
+/// construction, so it supports the same single-pass fast path as the
+/// LSTM).
+pub type GruState = RecurrentState;
 
 /// Shape of one GRU layer.
 ///
@@ -36,21 +50,29 @@ pub struct GruLayerCache {
     hs: Vec<f32>,
 }
 
-impl GruLayerShape {
-    /// Number of parameters.
-    pub fn param_len(&self) -> usize {
-        3 * self.hidden * (self.in_dim + self.hidden) + 3 * self.hidden
+impl Cell for GruLayerShape {
+    const GATES: usize = 3;
+    /// The hidden vector.
+    const CARRIES: usize = 1;
+    /// The `W_hn` rows take `dn·r`, not the candidate's pre-activation
+    /// delta.
+    const HH_DELTAS: bool = true;
+    type LayerCache = GruLayerCache;
+
+    fn shape(in_dim: usize, hidden: usize) -> GruLayerShape {
+        GruLayerShape { in_dim, hidden }
     }
 
-    fn split<'a>(&self, w: &'a [f32]) -> (&'a [f32], &'a [f32], &'a [f32]) {
-        let (h, i) = (self.hidden, self.in_dim);
-        let (w_ih, rest) = w.split_at(3 * h * i);
-        let (w_hh, b) = rest.split_at(3 * h * h);
-        (w_ih, w_hh, b)
+    fn in_dim(&self) -> usize {
+        self.in_dim
+    }
+
+    fn hidden(&self) -> usize {
+        self.hidden
     }
 
     /// Initialize parameters.
-    pub fn init(&self, w: &mut [f32], rng: &mut rand::rngs::StdRng) {
+    fn init(&self, w: &mut [f32], rng: &mut rand::rngs::StdRng) {
         let (h, i) = (self.hidden, self.in_dim);
         crate::init::xavier_uniform(&mut w[..3 * h * i], i, 3 * h, rng);
         let end = 3 * h * i + 3 * h * h;
@@ -63,7 +85,7 @@ impl GruLayerShape {
     /// Arithmetic mirrors one timestep of [`GruLayerShape::forward`]
     /// exactly (same gate order, same accumulation order), so a step
     /// sequence reproduces the full-sequence forward bit-for-bit.
-    pub fn step(&self, w: &[f32], x: &[f32], h_state: &mut [f32]) {
+    fn step(&self, w: &[f32], x: &[f32], h_state: &mut [f32]) {
         let h = self.hidden;
         let (w_ih, w_hh, b) = self.split(w);
         let (w_hr, rest) = w_hh.split_at(h * h);
@@ -83,7 +105,7 @@ impl GruLayerShape {
     }
 
     /// Full-sequence forward.
-    pub fn forward(&self, w: &[f32], xs: &[f32], t_steps: usize) -> GruLayerCache {
+    fn forward(&self, w: &[f32], xs: &[f32], t_steps: usize) -> GruLayerCache {
         let h = self.hidden;
         let (w_ih, w_hh, b) = self.split(w);
         let (w_hr, rest) = w_hh.split_at(h * h);
@@ -121,10 +143,12 @@ impl GruLayerShape {
         cache
     }
 
-    /// Full-sequence backward (mirrors [`crate::lstm::LstmLayerShape::backward`];
-    /// input gradients go to `dxs` only when given).
+    fn hs(cache: &GruLayerCache) -> &[f32] {
+        &cache.hs
+    }
+
     #[allow(clippy::too_many_arguments)]
-    pub fn backward(
+    fn backward(
         &self,
         w: &[f32],
         xs: &[f32],
@@ -202,6 +226,88 @@ impl GruLayerShape {
             gemv_t_acc(w_hn, &dn_un, &mut dh_rec, h, h);
         }
     }
+
+    /// The second state is `U_n h`.
+    fn recur_step<const ALL: bool>(
+        &self,
+        w_hh: &[f32],
+        t: usize,
+        batch: usize,
+        z: &mut [f32],
+        [_, un]: [&mut [f32]; 2],
+        [h_prev, h_new]: [&mut [f32]; 2],
+        acc: &mut [f32],
+    ) {
+        let (h, n) = (self.hidden, self.hidden * batch);
+        let (w_hr, rest) = w_hh.split_at(h * h);
+        let (w_hz, w_hn) = rest.split_at(h * h);
+        un.fill(0.0);
+        let (zr, rest) = z.split_at_mut(n);
+        let (zz, zn) = rest.split_at_mut(n);
+        if t > 0 {
+            gemm_bm_acc(w_hr, h_prev, zr, h, h, batch, acc);
+            gemm_bm_acc(w_hz, h_prev, zz, h, h, batch, acc);
+            gemm_bm_acc(w_hn, h_prev, un, h, h, batch, acc);
+        }
+        // Per-k row slices, processed in fixed-width chunks so the gate
+        // math reliably compiles to SIMD (see the LSTM's `gates_chunk`);
+        // identical math at any width.
+        for k in 0..h {
+            let row = k * batch..(k + 1) * batch;
+            let (zr, zz) = (&mut zr[row.clone()], &mut zz[row.clone()]);
+            let zn = &mut zn[row.clone()];
+            let (un_row, hp) = (&un[row.clone()], &h_prev[row.clone()]);
+            let hn = &mut h_new[row];
+            for_lane_chunks!(batch, s, LW => gru_gates_chunk::<LW, ALL>(
+                &mut zr[s..s + LW],
+                &mut zz[s..s + LW],
+                &mut zn[s..s + LW],
+                &un_row[s..s + LW],
+                &hp[s..s + LW],
+                &mut hn[s..s + LW],
+            ));
+        }
+    }
+
+    /// `dh_rec` takes the direct `z·dh` term and `dhh` is
+    /// `[dz_r, dz_z, dn·r]`; `carry` is unused.
+    fn delta_step(
+        &self,
+        at: &StepView<'_>,
+        batch: usize,
+        dh_t: &[f32],
+        _carry: &mut [f32],
+        dh_rec: &mut [f32],
+        dz: &mut [f32],
+        dhh: &mut [f32],
+    ) {
+        let (h, n) = (self.hidden, self.hidden * batch);
+        let (dz_r, dz_rest) = dz.split_at_mut(n);
+        let (dz_z, dz_n) = dz_rest.split_at_mut(n);
+        let dn_un = &mut dhh[2 * n..];
+        let row = |r: usize| r * batch..(r + 1) * batch;
+        for k in 0..h {
+            let g = at.gates;
+            let (gr, gz, gn) = (&g[row(k)], &g[row(h + k)], &g[row(2 * h + k)]);
+            let (un_row, hp) = (&at.aux[row(k)], &at.hs_prev[row(k)]);
+            let (dht, dhr, dnu) = (&dh_t[row(k)], &mut dh_rec[row(k)], &mut dn_un[row(k)]);
+            let (dzr, dzz, dzn) = (&mut dz_r[row(k)], &mut dz_z[row(k)], &mut dz_n[row(k)]);
+            for_lane_chunks!(batch, s, LW => gru_bwd_chunk::<LW>(
+                &gr[s..s + LW],
+                &gz[s..s + LW],
+                &gn[s..s + LW],
+                &un_row[s..s + LW],
+                &hp[s..s + LW],
+                &dht[s..s + LW],
+                &mut dhr[s..s + LW],
+                &mut dnu[s..s + LW],
+                &mut dzr[s..s + LW],
+                &mut dzz[s..s + LW],
+                &mut dzn[s..s + LW],
+            ));
+        }
+        dhh[..2 * n].copy_from_slice(&dz[..2 * n]);
+    }
 }
 
 /// One GRU gate-activation chunk of compile-time width `L` (all slices
@@ -269,529 +375,10 @@ fn gru_bwd_chunk<const L: usize>(
     }
 }
 
-/// Batch-major forward activations of one GRU layer (layout as in
-/// [`crate::lstm::LstmLayerBatchCache`]: row `r` of step `t` at
-/// `t * rows * batch + r * batch + s`, and a one-step pass keeps a
-/// second, all-zero step after its one step).
-#[derive(Debug, Clone)]
-pub struct GruLayerBatchCache {
-    /// `T x 3h x batch`: post-activation `r, z, n`.
-    pub gates: Vec<f32>,
-    /// `T x h x batch`: `U_n h_{t-1}` pre-products.
-    pub un_h: Vec<f32>,
-    /// `T x h x batch`: hidden states.
-    pub hs: Vec<f32>,
-}
-
-/// Forward cache for [`Gru::forward_batch_cached`].
-#[derive(Debug, Clone)]
-pub struct GruBatchCache {
-    layer_caches: Vec<GruLayerBatchCache>,
-    t_steps: usize,
-    batch: usize,
-}
-
-impl GruBatchCache {
-    /// Number of timesteps the cache covers.
-    pub fn t_steps(&self) -> usize {
-        self.t_steps
-    }
-
-    /// Number of sequences in the batch.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-}
-
-impl GruLayerShape {
-    /// Batch-major full-sequence backward over a [`GruLayerBatchCache`]
-    /// (the lockstep mirror of [`GruLayerShape::backward`]; same
-    /// bit-identity contract as [`crate::lstm::Lstm::backward_batch`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_batch(
-        &self,
-        w: &[f32],
-        x: &BatchInput<'_>,
-        t_steps: usize,
-        batch: usize,
-        cache: &GruLayerBatchCache,
-        dh: &mut [f32],
-        grads: &mut [f32],
-        mut dxs: Option<&mut [f32]>,
-    ) {
-        let h = self.hidden;
-        let i_dim = self.in_dim;
-        let (w_ih, w_hh, _) = self.split(w);
-        let (w_hr, rest) = w_hh.split_at(h * h);
-        let (w_hz, w_hn) = rest.split_at(h * h);
-        let (g_ih, rest_g) = grads.split_at_mut(3 * h * i_dim);
-        let (g_hh, g_b) = rest_g.split_at_mut(3 * h * h);
-        let (g_hr, rest_g2) = g_hh.split_at_mut(h * h);
-        let (g_hz, g_hn) = rest_g2.split_at_mut(h * h);
-
-        let mut dh_rec = vec![0.0f32; h * batch];
-        // All timesteps' pre-activation deltas and candidate-gate
-        // recurrent deltas, batch-major, for the canonical parameter
-        // accumulation below.
-        let mut dzs = vec![0.0f32; t_steps * 3 * h * batch];
-        let mut dn_uns = vec![0.0f32; t_steps * h * batch];
-        let zero_row = vec![0.0f32; batch];
-        for t in (0..t_steps).rev() {
-            let gates = &cache.gates[t * 3 * h * batch..(t + 1) * 3 * h * batch];
-            let un_h = &cache.un_h[t * h * batch..(t + 1) * h * batch];
-            let dh_t = &mut dh[t * h * batch..(t + 1) * h * batch];
-            for (d, r) in dh_t.iter_mut().zip(&dh_rec) {
-                *d += r;
-            }
-            dh_rec.fill(0.0);
-            let dz = &mut dzs[t * 3 * h * batch..(t + 1) * 3 * h * batch];
-            let (dz_r, dz_rest) = dz.split_at_mut(h * batch);
-            let (dz_z, dz_n) = dz_rest.split_at_mut(h * batch);
-            let dn_un = &mut dn_uns[t * h * batch..(t + 1) * h * batch];
-            for k in 0..h {
-                let row = |r: usize| &gates[r * batch..(r + 1) * batch];
-                let (gr, gz, gn) = (row(k), row(h + k), row(2 * h + k));
-                let un_row = &un_h[k * batch..(k + 1) * batch];
-                let hp: &[f32] = if t == 0 {
-                    &zero_row
-                } else {
-                    &cache.hs
-                        [(t - 1) * h * batch + k * batch..(t - 1) * h * batch + (k + 1) * batch]
-                };
-                let dht = &dh_t[k * batch..(k + 1) * batch];
-                let dhr = &mut dh_rec[k * batch..(k + 1) * batch];
-                let dnu = &mut dn_un[k * batch..(k + 1) * batch];
-                let dzr = &mut dz_r[k * batch..(k + 1) * batch];
-                let dzz = &mut dz_z[k * batch..(k + 1) * batch];
-                let dzn = &mut dz_n[k * batch..(k + 1) * batch];
-                for_lane_chunks!(batch, s, LW => gru_bwd_chunk::<LW>(
-                    &gr[s..s + LW],
-                    &gz[s..s + LW],
-                    &gn[s..s + LW],
-                    &un_row[s..s + LW],
-                    &hp[s..s + LW],
-                    &dht[s..s + LW],
-                    &mut dhr[s..s + LW],
-                    &mut dnu[s..s + LW],
-                    &mut dzr[s..s + LW],
-                    &mut dzz[s..s + LW],
-                    &mut dzn[s..s + LW],
-                ));
-            }
-            let dz = &dzs[t * 3 * h * batch..(t + 1) * 3 * h * batch];
-            if let Some(dxs) = dxs.as_deref_mut() {
-                gemm_bm_t_acc(
-                    w_ih,
-                    dz,
-                    &mut dxs[t * i_dim * batch..(t + 1) * i_dim * batch],
-                    3 * h,
-                    i_dim,
-                    batch,
-                );
-            }
-            // dh_rec feeds step t-1, so the recurrent products are dead
-            // work at t == 0 (the scalar backward computes them anyway,
-            // but never reads them — skipping is parity-safe).
-            if t > 0 {
-                gemm_bm_t_acc(w_hr, &dz[..h * batch], &mut dh_rec, h, h, batch);
-                gemm_bm_t_acc(
-                    w_hz,
-                    &dz[h * batch..2 * h * batch],
-                    &mut dh_rec,
-                    h,
-                    h,
-                    batch,
-                );
-                gemm_bm_t_acc(w_hn, dn_un, &mut dh_rec, h, h, batch);
-            }
-        }
-        // Canonical parameter accumulation: per sequence (ascending),
-        // per timestep (descending), exactly the scalar path's rank-1
-        // updates and bias adds (h_prev is the zero vector at t = 0,
-        // matching the scalar backward).
-        let mut dz_s = vec![0.0f32; 3 * h];
-        let mut dn_s = vec![0.0f32; h];
-        let mut x_s = vec![0.0f32; i_dim];
-        let mut hp_s = vec![0.0f32; h];
-        for s in 0..batch {
-            for t in (0..t_steps).rev() {
-                let dz = &dzs[t * 3 * h * batch..(t + 1) * 3 * h * batch];
-                for (r, d) in dz_s.iter_mut().enumerate() {
-                    *d = dz[r * batch + s];
-                }
-                let dn = &dn_uns[t * h * batch..(t + 1) * h * batch];
-                for (k, d) in dn_s.iter_mut().enumerate() {
-                    *d = dn[k * batch + s];
-                }
-                if t == 0 {
-                    hp_s.fill(0.0);
-                } else {
-                    let hs = &cache.hs[(t - 1) * h * batch..t * h * batch];
-                    for (k, hp) in hp_s.iter_mut().enumerate() {
-                        *hp = hs[k * batch + s];
-                    }
-                }
-                x.gather(t, s, t_steps, batch, &mut x_s);
-                outer_acc(g_ih, &dz_s, &x_s);
-                for (g, &d) in g_b.iter_mut().zip(&dz_s) {
-                    *g += d;
-                }
-                outer_acc(g_hr, &dz_s[..h], &hp_s);
-                outer_acc(g_hz, &dz_s[h..2 * h], &hp_s);
-                outer_acc(g_hn, &dn_s, &hp_s);
-            }
-        }
-    }
-}
-
-/// Streaming hidden state for a multi-layer GRU (the GRU is stateful by
-/// construction, so it supports the same single-pass fast path as the
-/// LSTM; see [`crate::lstm::LstmState`]).
-#[derive(Debug, Clone)]
-pub struct GruState {
-    /// Per-layer hidden vectors.
-    pub h: Vec<Vec<f32>>,
-}
-
-impl GruState {
-    /// Reset all state to zero.
-    pub fn reset(&mut self) {
-        for v in self.h.iter_mut() {
-            v.fill(0.0);
-        }
-    }
-}
-
-/// Multi-layer GRU with contiguous parameters.
-#[derive(Debug, Clone)]
-pub struct Gru {
-    layers: Vec<GruLayerShape>,
-    params: Vec<f32>,
-}
-
-/// Forward cache for [`Gru::forward`].
-#[derive(Debug, Clone)]
-pub struct GruCache {
-    layer_caches: Vec<GruLayerCache>,
-    t_steps: usize,
-}
-
-impl Gru {
-    /// Build an `n_layers` GRU.
-    pub fn new(in_dim: usize, hidden: usize, n_layers: usize, seed: u64) -> Gru {
-        assert!(n_layers >= 1);
-        let mut layers = Vec::with_capacity(n_layers);
-        for l in 0..n_layers {
-            layers.push(GruLayerShape {
-                in_dim: if l == 0 { in_dim } else { hidden },
-                hidden,
-            });
-        }
-        let total: usize = layers.iter().map(|l| l.param_len()).sum();
-        let mut params = vec![0.0f32; total];
-        let mut rng = seeded_rng(seed);
-        let mut off = 0;
-        for l in &layers {
-            l.init(&mut params[off..off + l.param_len()], &mut rng);
-            off += l.param_len();
-        }
-        Gru { layers, params }
-    }
-
-    /// Input feature count.
-    pub fn in_dim(&self) -> usize {
-        self.layers[0].in_dim
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().unwrap().hidden
-    }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Flat parameters.
-    pub fn params(&self) -> &[f32] {
-        &self.params
-    }
-
-    /// Flat parameters, mutable.
-    pub fn params_mut(&mut self) -> &mut [f32] {
-        &mut self.params
-    }
-
-    /// Layer `l`'s share of the flat parameters (and of a gradient).
-    fn layer_range(&self, l: usize) -> std::ops::Range<usize> {
-        let off: usize = self.layers[..l].iter().map(|s| s.param_len()).sum();
-        off..off + self.layers[l].param_len()
-    }
-
-    fn layer_param(&self, l: usize) -> &[f32] {
-        &self.params[self.layer_range(l)]
-    }
-
-    /// Full-sequence forward; returns the final hidden vector and cache.
-    pub fn forward(&self, xs: &[f32], t_steps: usize) -> (Vec<f32>, GruCache) {
-        let mut layer_caches = Vec::with_capacity(self.layers.len());
-        let mut input: Vec<f32> = xs.to_vec();
-        for (l, shape) in self.layers.iter().enumerate() {
-            let cache = shape.forward(self.layer_param(l), &input, t_steps);
-            input = cache.hs.clone();
-            layer_caches.push(cache);
-        }
-        let h = self.out_dim();
-        let out = input[(t_steps - 1) * h..t_steps * h].to_vec();
-        (
-            out,
-            GruCache {
-                layer_caches,
-                t_steps,
-            },
-        )
-    }
-
-    /// Fresh zeroed streaming state.
-    pub fn zero_state(&self) -> GruState {
-        GruState {
-            h: self.layers.iter().map(|l| vec![0.0; l.hidden]).collect(),
-        }
-    }
-
-    /// One streaming step: feed `x`, update `state`, and write the top
-    /// layer's hidden vector into `out`.
-    pub fn step(&self, state: &mut GruState, x: &[f32], out: &mut [f32]) {
-        let mut input = x.to_vec();
-        for (l, shape) in self.layers.iter().enumerate() {
-            let w = self.layer_param(l);
-            shape.step(w, &input, &mut state.h[l]);
-            input.clear();
-            input.extend_from_slice(&state.h[l]);
-        }
-        out.copy_from_slice(&input);
-    }
-
-    /// Batched full-sequence forward over `batch` independent sequences
-    /// in lockstep (see [`crate::lstm::Lstm::forward_batch`]; same
-    /// layouts, same bit-identical-per-sequence guarantee).
-    pub fn forward_batch(&self, xs: &[f32], t_steps: usize, batch: usize) -> Vec<f32> {
-        assert!(batch >= 1);
-        let cols = Columns::every_slot(xs, t_steps, batch, self.in_dim());
-        self.recur::<false>(&self.input_weights(), &cols, t_steps).0
-    }
-
-    /// [`Gru::forward_batch`] over `windows` of `t_steps` steps each,
-    /// projecting each distinct row once (see
-    /// [`crate::lstm::Lstm::forward_windows`]; same guarantee).
-    pub(crate) fn forward_windows(&self, windows: &[Window<'_>], t_steps: usize) -> Vec<f32> {
-        assert!(!windows.is_empty());
-        let cols = Columns::distinct(windows, t_steps, self.in_dim());
-        self.recur::<false>(&self.input_weights(), &cols, t_steps).0
-    }
-
-    /// Batched full-sequence forward that also retains every layer's
-    /// batch-major activations for [`Gru::backward_batch`] (same
-    /// bit-identity contract as
-    /// [`crate::lstm::Lstm::forward_batch_cached`]).
-    pub fn forward_batch_cached(
-        &self,
-        xs: &[f32],
-        t_steps: usize,
-        batch: usize,
-    ) -> (Vec<f32>, GruBatchCache) {
-        assert!(batch >= 1);
-        let cols = Columns::every_slot(xs, t_steps, batch, self.in_dim());
-        let (out, layer_caches) = self.recur::<true>(&self.input_weights(), &cols, t_steps);
-        (
-            out,
-            GruBatchCache {
-                layer_caches,
-                t_steps,
-                batch,
-            },
-        )
-    }
-
-    /// Layer 0's input weights and bias, as the projection reads them.
-    fn input_weights(&self) -> InputWeights<'_> {
-        let (w_ih, _, b) = self.layers[0].split(self.layer_param(0));
-        InputWeights::new(w_ih, b)
-    }
-
-    /// The batched recurrence: the one forward kernel of every batched
-    /// GRU pass (see [`crate::lstm::Lstm`]'s `recur`: the same inputs,
-    /// step store and returns; a store here keeps gates, `U_n h`
-    /// products and hidden states). The recurrent gemms are skipped at
-    /// `t = 0` (exact for the reasons given there; `U_n h` is then the
-    /// +0.0 a zero-state gemm leaves).
-    fn recur<const ALL: bool>(
-        &self,
-        w_ih0: &InputWeights<'_>,
-        cols: &Columns<'_>,
-        t_steps: usize,
-    ) -> (Vec<f32>, Vec<GruLayerBatchCache>) {
-        let batch = cols.batch;
-        let slots = store_slots(ALL, t_steps);
-        let mut store: Vec<GruLayerBatchCache> = self
-            .layers
-            .iter()
-            .map(|l| {
-                let n = l.hidden * batch;
-                let kept = if ALL { slots * n } else { 0 };
-                GruLayerBatchCache {
-                    gates: vec![0.0; 3 * kept],
-                    un_h: vec![0.0; kept],
-                    hs: vec![0.0; slots * n],
-                }
-            })
-            .collect();
-        // Step `t`'s pre-activations and `U_n h` are computed in its
-        // slots, or for a ring store in one scratch buffer all layers
-        // share.
-        let h_max = self.layers.iter().map(|l| l.hidden).max().unwrap();
-        let mut scratch = vec![0.0f32; if ALL { 0 } else { 4 * h_max * batch }];
-        let x0 = cols.input(w_ih0);
-        let mut acc = vec![0.0f32; batch];
-        for t in 0..t_steps {
-            let (prev, cur) = ((t + slots - 1) % slots, t % slots);
-            for (l, shape) in self.layers.iter().enumerate() {
-                let (h, n) = (shape.hidden, shape.hidden * batch);
-                let (w_ih, w_hh, b) = shape.split(self.layer_param(l));
-                let (w_hr, rest) = w_hh.split_at(h * h);
-                let (w_hz, w_hn) = rest.split_at(h * h);
-                let (below, this) = store.split_at_mut(l);
-                let this = &mut this[0];
-                let (z, un) = if ALL {
-                    (
-                        &mut this.gates[cur * 3 * n..][..3 * n],
-                        &mut this.un_h[cur * n..][..n],
-                    )
-                } else {
-                    scratch[..4 * n].split_at_mut(3 * n)
-                };
-                if l == 0 {
-                    x0.step(t, z);
-                } else {
-                    let m = shape.in_dim * batch;
-                    fill_rows_bm(z, b, batch);
-                    let x = &below[l - 1].hs[cur * m..][..m];
-                    gemm_bm_acc(w_ih, x, z, 3 * h, shape.in_dim, batch, &mut acc);
-                }
-                un.fill(0.0);
-                let [h_prev, h_new] = this
-                    .hs
-                    .get_disjoint_mut([prev * n..(prev + 1) * n, cur * n..(cur + 1) * n])
-                    .expect("a store keeps at least two slots");
-                let (zr, rest) = z.split_at_mut(n);
-                let (zz, zn) = rest.split_at_mut(n);
-                if t > 0 {
-                    gemm_bm_acc(w_hr, h_prev, zr, h, h, batch, &mut acc);
-                    gemm_bm_acc(w_hz, h_prev, zz, h, h, batch, &mut acc);
-                    gemm_bm_acc(w_hn, h_prev, un, h, h, batch, &mut acc);
-                }
-                // Per-k row slices, processed in fixed-width chunks so
-                // the gate math reliably compiles to SIMD (see the
-                // LSTM's `gates_chunk`); identical math at any width.
-                for k in 0..h {
-                    let row = k * batch..(k + 1) * batch;
-                    let (zr, zz, zn) = (
-                        &mut zr[row.clone()],
-                        &mut zz[row.clone()],
-                        &mut zn[row.clone()],
-                    );
-                    let (un_row, hp) = (&un[row.clone()], &h_prev[row.clone()]);
-                    let hn = &mut h_new[row];
-                    for_lane_chunks!(batch, s, LW => gru_gates_chunk::<LW, ALL>(
-                        &mut zr[s..s + LW],
-                        &mut zz[s..s + LW],
-                        &mut zn[s..s + LW],
-                        &un_row[s..s + LW],
-                        &hp[s..s + LW],
-                        &mut hn[s..s + LW],
-                    ));
-                }
-            }
-        }
-        let d = self.out_dim();
-        let last = (t_steps - 1) % slots;
-        let top = &store[self.layers.len() - 1].hs[last * d * batch..][..d * batch];
-        let mut out = vec![0.0f32; batch * d];
-        bm_to_seq(top, &mut out, d, batch);
-        (out, store)
-    }
-
-    /// Batch-major BPTT from per-sequence gradients `douts`
-    /// (sequence-major `batch x hidden`); accumulates into `grads`,
-    /// bit-identically to running the scalar [`Gru::backward`] once per
-    /// sequence in batch order.
-    pub fn backward_batch(
-        &self,
-        xs: &[f32],
-        cache: &GruBatchCache,
-        douts: &[f32],
-        grads: &mut [f32],
-    ) {
-        let t = cache.t_steps;
-        let batch = cache.batch;
-        let h_top = self.out_dim();
-        let mut dh = vec![0.0f32; t * h_top * batch];
-        seq_to_bm(douts, &mut dh[(t - 1) * h_top * batch..], h_top, batch);
-        for l in (0..self.layers.len()).rev() {
-            let shape = self.layers[l];
-            let x = if l == 0 {
-                BatchInput::Seq(xs)
-            } else {
-                BatchInput::Bm(&cache.layer_caches[l - 1].hs)
-            };
-            // The bottom layer's input gradient has no reader.
-            let mut dxs = vec![0.0f32; if l > 0 { t * shape.in_dim * batch } else { 0 }];
-            shape.backward_batch(
-                self.layer_param(l),
-                &x,
-                t,
-                batch,
-                &cache.layer_caches[l],
-                &mut dh,
-                &mut grads[self.layer_range(l)],
-                (l > 0).then_some(dxs.as_mut_slice()),
-            );
-            dh = dxs;
-        }
-    }
-
-    /// Backward from `dout` (gradient w.r.t. the final hidden vector).
-    pub fn backward(&self, xs: &[f32], cache: &GruCache, dout: &[f32], grads: &mut [f32]) {
-        let t = cache.t_steps;
-        let h_top = self.out_dim();
-        let mut dh = vec![0.0f32; t * h_top];
-        dh[(t - 1) * h_top..].copy_from_slice(dout);
-        for l in (0..self.layers.len()).rev() {
-            let shape = self.layers[l];
-            let xs_l: &[f32] = if l == 0 {
-                xs
-            } else {
-                &cache.layer_caches[l - 1].hs
-            };
-            let mut dxs = vec![0.0f32; if l > 0 { t * shape.in_dim } else { 0 }];
-            shape.backward(
-                self.layer_param(l),
-                xs_l,
-                t,
-                &cache.layer_caches[l],
-                &mut dh,
-                &mut grads[self.layer_range(l)],
-                (l > 0).then_some(dxs.as_mut_slice()),
-            );
-            dh = dxs;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init::seeded_rng;
     use crate::tensor::dot;
 
     #[test]

@@ -48,6 +48,7 @@ pub mod loss;
 pub mod lstm;
 pub mod mlp;
 pub mod parallel;
+pub mod rnn;
 pub mod schedule;
 pub mod seq;
 pub mod tensor;

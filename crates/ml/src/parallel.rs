@@ -13,12 +13,13 @@
 //!
 //! A step of one chunk (the default 32-window batch) would leave every
 //! core but one idle, so a chunk that runs at top level is itself split
-//! ([`lane_split`]): the LSTM runs its forward pass and its delta
-//! recursion as two lane halves on two threads, then the two threads
-//! replay the parameter gradients split by gate rows, each row in the
-//! canonical order. Neither split moves a floating-point operation to
-//! another accumulation chain, so results stay bit-identical to the
-//! one-thread pass.
+//! ([`lane_split`]): each recurrent cell (the LSTM and the GRU, through
+//! their shared `rnn::Recurrent`, and so the biLSTM's two stacks) runs
+//! its forward pass and its delta recursion as two lane halves on two
+//! threads, then the two threads replay the parameter gradients split
+//! by gate rows, each row in the canonical order. Neither split moves a
+//! floating-point operation to another accumulation chain, so results
+//! stay bit-identical to the one-thread pass.
 //!
 //! [`BatchStep`] supersedes the old per-item-closure `batch_gradients`:
 //! consumers either hand it a per-item closure
@@ -61,10 +62,11 @@ fn cores() -> usize {
 
 /// Whether a batched recurrent pass over `batch` lanes that does `macs`
 /// forward multiply-adds runs as two lane halves on two threads, and
-/// where: `Some(mid)` runs lanes `..mid` and `mid..` apart. It splits
-/// only a chunk of at least [`LANE_WIDTH`] lanes, at top level (inside
-/// a parallel region each chunk already has its core), on a machine
-/// with two or more cores, when `macs` clears [`SPLIT_MIN_MACS`].
+/// where (for each recurrent cell alike, see [`crate::rnn`]):
+/// `Some(mid)` runs lanes `..mid` and `mid..` apart. It splits only a
+/// chunk of at least [`LANE_WIDTH`] lanes, at top level (inside a
+/// parallel region each chunk already has its core), on a machine with
+/// two or more cores, when `macs` clears [`SPLIT_MIN_MACS`].
 pub fn lane_split(batch: usize, macs: usize) -> Option<usize> {
     let split =
         batch >= LANE_WIDTH && macs >= SPLIT_MIN_MACS && !in_parallel_worker() && cores() >= 2;

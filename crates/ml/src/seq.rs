@@ -78,6 +78,19 @@ pub enum BatchCache {
     Transformer(TransformerBatchCache),
 }
 
+impl BatchCache {
+    /// Lane parts the batched forward ran as: 2 when a recurrent model
+    /// ran its chunk as two lane halves on two threads (see
+    /// [`crate::parallel::lane_split`]), else 1.
+    pub fn lane_parts(&self) -> usize {
+        match self {
+            BatchCache::Lstm(c) | BatchCache::Gru(c) => c.lane_parts(),
+            BatchCache::BiLstm(c) => c.lane_parts(),
+            _ => 1,
+        }
+    }
+}
+
 /// Opaque forward cache matching the architecture.
 pub enum SeqCache {
     /// No intermediate state needed.
@@ -388,10 +401,12 @@ impl SeqModel {
     /// scalar [`SeqModel::backward`] once per sequence, in batch order,
     /// into the same buffer — so a batched training step computes
     /// exactly the scalar step's gradient sum, only on batch-major
-    /// (vectorizable, weight-reusing) kernels. The LSTM (and biLSTM)
-    /// replay of layer 0's input weights skips zero features, which
-    /// needs `grads` to hold no −0.0 there (zeroed or accumulated
-    /// gradients never do; see [`crate::lstm::Lstm::backward_batch`]).
+    /// (vectorizable, weight-reusing) kernels. Each recurrent cell's
+    /// replay (the LSTM's, the GRU's and the biLSTM stacks') leaves out
+    /// layer 0's zero input features and the `W_hh` update over the
+    /// zero initial state, which needs `grads` to hold no −0.0 (zeroed
+    /// or accumulated gradients never do; see
+    /// [`crate::rnn::Recurrent::backward_batch`]).
     ///
     /// Panics if `cache` does not match the architecture.
     pub fn backward_batch(
@@ -468,15 +483,6 @@ impl SeqModel {
             (SeqModel::Lstm(m), StreamState::Lstm(s)) => m.step(s, x, out),
             (SeqModel::Gru(m), StreamState::Gru(s)) => m.step(s, x, out),
             _ => panic!("stream state does not match model architecture"),
-        }
-    }
-
-    /// The inner LSTM, when this model is an LSTM (the tests read its
-    /// lane parts through it).
-    pub fn as_lstm(&self) -> Option<&Lstm> {
-        match self {
-            SeqModel::Lstm(m) => Some(m),
-            _ => None,
         }
     }
 }
@@ -557,12 +563,6 @@ mod tests {
         );
         assert_eq!(SeqModel::bilstm(51, 64, 2, 0).describe(), "biLSTM-2-64");
         assert_eq!(SeqModel::gru(51, 32, 3, 0).describe(), "GRU-3-32");
-    }
-
-    #[test]
-    fn lstm_exposes_streaming() {
-        assert!(SeqModel::lstm(4, 8, 2, 0).as_lstm().is_some());
-        assert!(SeqModel::gru(4, 8, 2, 0).as_lstm().is_none());
     }
 
     #[test]

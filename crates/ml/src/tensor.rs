@@ -683,37 +683,6 @@ macro_rules! for_lane_chunks {
 }
 pub(crate) use for_lane_chunks;
 
-/// Batch-major input view for the batched backward passes: layer 0 reads
-/// the caller's sequence-major window block, higher layers read the
-/// batch-major hidden states of the layer below.
-pub enum BatchInput<'a> {
-    /// Sequence-major `batch x T x in_dim` (the `forward_batch` input).
-    Seq(&'a [f32]),
-    /// Batch-major `T x in_dim x batch` (a layer cache's activations).
-    Bm(&'a [f32]),
-}
-
-impl BatchInput<'_> {
-    /// Copy sequence `s`'s step-`t` input vector into `out`
-    /// (`out.len() == in_dim`). Pure data movement — no arithmetic —
-    /// so the gathered values are exactly the scalar path's inputs.
-    pub fn gather(&self, t: usize, s: usize, t_steps: usize, batch: usize, out: &mut [f32]) {
-        let in_dim = out.len();
-        match self {
-            BatchInput::Seq(xs) => {
-                let base = s * t_steps * in_dim + t * in_dim;
-                out.copy_from_slice(&xs[base..base + in_dim]);
-            }
-            BatchInput::Bm(x_bm) => {
-                let base = t * in_dim * batch;
-                for (k, o) in out.iter_mut().enumerate() {
-                    *o = x_bm[base + k * batch + s];
-                }
-            }
-        }
-    }
-}
-
 /// Transpose `batch` consecutive sequence-major vectors of length `n`
 /// into one batch-major `n x batch` matrix. Pure data movement.
 #[inline]

@@ -214,14 +214,11 @@ fn two_lane_halves_stay_bit_identical_to_per_sequence_passes() {
         let douts = batch_douts(batch, d);
         for m in split_sized_models(in_dim, d) {
             let (out, bcache) = m.forward_batch_cached(&xs, t, batch);
-            if let Some(lstm) = m.as_lstm() {
-                // The shape really takes the split path: two lane
-                // halves from 32 lanes up on a multi-core machine, one
-                // part otherwise.
-                let (_, c) = lstm.forward_batch_cached(&xs, t, batch);
-                let want = if batch >= 32 && cores() >= 2 { 2 } else { 1 };
-                assert_eq!(c.lane_parts(), want, "batch {batch}");
-            }
+            // The shape really takes the split path: two lane halves
+            // from 32 lanes up on a multi-core machine, one part
+            // otherwise, for each recurrent cell.
+            let want = if batch >= 32 && cores() >= 2 { 2 } else { 1 };
+            assert_eq!(bcache.lane_parts(), want, "{} batch {batch}", m.describe());
             let mut g_bat = vec![0.0f32; m.num_params()];
             m.backward_batch(&xs, t, batch, &bcache, &douts, &mut g_bat);
             let mut g_ref = vec![0.0f32; m.num_params()];
@@ -456,7 +453,8 @@ fn sparse_inputs_stay_bit_identical_to_per_sequence_passes() {
         negative_zero_bias_rows(&mut models[0], 4, d);
         negative_zero_bias_rows(&mut models[1], 3, d);
         negative_zero_bias_rows(&mut models[2], 4, d / 2);
-        for m in &models {
+        // Gate blocks of the LSTM's and the GRU's layer 0.
+        for (m, gates) in models.iter().zip([Some(4), Some(3), None]) {
             let (out, bcache) = m.forward_batch_cached(&xs, t, batch);
             let mut g_bat = vec![0.0f32; m.num_params()];
             m.backward_batch(&xs, t, batch, &bcache, &douts, &mut g_bat);
@@ -481,11 +479,12 @@ fn sparse_inputs_stay_bit_identical_to_per_sequence_passes() {
                     m.describe()
                 );
             }
-            if m.as_lstm().is_some() && batch.is_multiple_of(2) {
+            if let Some(gates) = gates.filter(|_| batch.is_multiple_of(2)) {
                 // The pairs cancel: the `ONCE` column of layer 0's
                 // `W_ih` gradient ends at exactly +0.0.
-                for r in 0..4 * d {
-                    assert_eq!(g_bat[r * in_dim + 30].to_bits(), 0, "row {r}");
+                for r in 0..gates * d {
+                    let what = format!("{} row {r}", m.describe());
+                    assert_eq!(g_bat[r * in_dim + 30].to_bits(), 0, "{what}");
                 }
             }
         }
