@@ -70,12 +70,6 @@ pub struct IthemalConfig {
     pub lr: f32,
     /// Seed.
     pub seed: u64,
-    /// Batch-major gradient step: equal-length blocks of a lane chunk
-    /// share one `forward_batch`/`backward_batch` pair (default). The
-    /// scalar per-block step remains for ablation; both are
-    /// deterministic, but grouping reorders the float accumulation, so
-    /// compare runs only within one mode.
-    pub batched: bool,
 }
 
 impl Default for IthemalConfig {
@@ -87,7 +81,6 @@ impl Default for IthemalConfig {
             batch: 32,
             lr: 1e-2,
             seed: 0x17e,
-            batched: true,
         }
     }
 }
@@ -96,10 +89,9 @@ impl Default for IthemalConfig {
 /// blocks are grouped by (equal) length — a `forward_batch`
 /// requirement — in stable first-appearance order, and each group runs
 /// one `forward_batch_cached`/`backward_batch` pair. Each block's
-/// forward/backward is bit-identical to its scalar pass; only the
-/// accumulation order differs from the scalar step (group-major instead
-/// of item-major), which is why Ithemal exposes the mode as a config
-/// knob rather than claiming cross-mode bit-parity.
+/// forward/backward is bit-identical to its scalar pass; the chunk's
+/// gradient accumulates group-major, so the step is deterministic but
+/// claims no bit-parity with a per-block (item-major) sum.
 fn batched_block_pass(
     lstm: &SeqModel,
     features: &Matrix,
@@ -168,39 +160,20 @@ impl Ithemal {
         let mut order: Vec<usize> = (0..blocks.len()).collect();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let step = BatchStep::new();
-        // Scalar per-block pass, shared by the scalar mode and the
-        // batched mode's singleton groups.
-        let scalar_item = |b: usize, grads: &mut [f32], lstm: &SeqModel| -> f64 {
-            let blk = &blocks[b];
-            let t = blk.end - blk.start;
-            let xs = &features.data[blk.start * NUM_FEATURES..blk.end * NUM_FEATURES];
-            let (y, cache) = lstm.forward(xs, t);
-            let pred: f32 = y.iter().sum();
-            let err = pred - targets[b] / scale;
-            let dout = vec![2.0 * err; y.len()];
-            lstm.backward(xs, t, &cache, &dout, grads);
-            (err * err) as f64
-        };
         for _ in 0..cfg.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch) {
-                let (_, grads) = if cfg.batched {
-                    step.accumulate(chunk.len(), lstm.num_params(), |range, grads| {
-                        batched_block_pass(
-                            &lstm,
-                            features,
-                            &blocks,
-                            &targets,
-                            scale,
-                            &chunk[range],
-                            grads,
-                        )
-                    })
-                } else {
-                    step.accumulate_items(chunk.len(), lstm.num_params(), |i, grads| {
-                        scalar_item(chunk[i], grads, &lstm)
-                    })
-                };
+                let (_, grads) = step.accumulate(chunk.len(), lstm.num_params(), |range, grads| {
+                    batched_block_pass(
+                        &lstm,
+                        features,
+                        &blocks,
+                        &targets,
+                        scale,
+                        &chunk[range],
+                        grads,
+                    )
+                });
                 let inv = 1.0 / chunk.len() as f32;
                 let g: Vec<f32> = grads.iter().map(|v| v * inv).collect();
                 let mut p = lstm.get_params();
@@ -265,33 +238,5 @@ mod tests {
         let pred = model.predict_total_tenths(&f);
         let err = (pred - sim.total_tenths).abs() / sim.total_tenths;
         assert!(err < 0.30, "Ithemal-like total error {err:.3}");
-    }
-
-    #[test]
-    fn scalar_step_fits_comparably_to_batched() {
-        // Both step modes must train to a working model (the modes
-        // reorder float accumulation across equal-length groups, so the
-        // comparison is on prediction quality, not bits).
-        let trace = by_name("specrand").unwrap().trace(3_000);
-        let cfg = &predefined_configs()[1];
-        let sim = simulate(&trace, cfg);
-        let f = extract_features(&trace, FeatureMask::Full);
-        let base = IthemalConfig {
-            epochs: 20,
-            ..IthemalConfig::default()
-        };
-        for batched in [true, false] {
-            let model = Ithemal::train(
-                &f,
-                &sim.inc_latency_tenths,
-                &IthemalConfig {
-                    batched,
-                    ..base.clone()
-                },
-            );
-            let pred = model.predict_total_tenths(&f);
-            let err = (pred - sim.total_tenths).abs() / sim.total_tenths;
-            assert!(err < 0.35, "batched={batched}: total error {err:.3}");
-        }
     }
 }

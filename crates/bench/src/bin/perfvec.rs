@@ -7,7 +7,7 @@
 //! next to its human-readable output.
 //!
 //! ```text
-//! perfvec run <experiment> [--scale quick|full|auto] [--seed N]
+//! perfvec run <experiment> [--scale quick|full] [--seed N]
 //!             [--features full|no_mem_branch] [--march-subset 0,3,9..20]
 //!             [--trace-len N] [--no-cache] [--report PATH]
 //!             [--set key=value]...
@@ -50,7 +50,7 @@ USAGE:
     perfvec help                       show this message
 
 RUN FLAGS:
-    --scale quick|full|auto       experiment scale            [default: quick]
+    --scale quick|full            experiment scale            [default: quick]
     --seed N                      march sampling seed         [default: shared population seed]
     --features full|no_mem_branch feature mask                [default: full]
     --march-subset LIST           population indices, e.g. 0,3,9..20

@@ -16,11 +16,11 @@
 //! `probe`) is the only entry point; library code never reads process
 //! arguments.
 //!
-//! `perfvec run` accepts `--scale quick|full|auto` (default `quick`;
-//! scales only change trace lengths, training budgets, and — for
-//! `auto` — how cold dataset generation is sharded across memory and
-//! cores, never the protocol) and `--no-cache` (bypass the on-disk
-//! dataset cache, see [`cache`]).
+//! `perfvec run` accepts `--scale quick|full` (default `quick`; scales
+//! only change trace lengths and training budgets, never the protocol)
+//! and `--no-cache` (bypass the on-disk dataset cache, see [`cache`]).
+//! Cold dataset generation is sharded across memory and cores by
+//! [`ShardPlan::auto`] at every scale.
 
 pub mod cache;
 pub mod chart;

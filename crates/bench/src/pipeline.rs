@@ -1,49 +1,14 @@
-//! Shared experiment pipeline: dataset generation over the Table II
-//! suite, foundation evaluation, and report assembly.
+//! Shared experiment pipeline: foundation training and seen/unseen
+//! evaluation over the Table II suite. Datasets come from the runner's
+//! one dataset stage.
 
-use crate::cache::{workload_datasets, CacheStats, DatasetCache};
-use crate::shard::ShardPlan;
 use perfvec::compose::program_representation;
 use perfvec::predict::{evaluate_program, EvalRow};
 use perfvec::refit::refit_march_table;
 use perfvec::trainer::{train_foundation, TrainConfig, TrainedFoundation};
-use perfvec_sim::MicroArchConfig;
-use perfvec_trace::features::FeatureMask;
 use perfvec_trace::ProgramData;
-use perfvec_workloads::suite;
 
 pub use perfvec::data::SuiteData;
-
-/// Datasets for all 17 workloads on `configs`, each served from the
-/// content-addressed dataset cache when possible (see [`crate::cache`]),
-/// through an explicit [`DatasetCache`] and generation [`ShardPlan`]
-/// (both come from the [`crate::spec::ExperimentSpec`]).
-pub fn suite_datasets_with(
-    cache: &DatasetCache,
-    configs: &[MicroArchConfig],
-    trace_len: u64,
-    mask: FeatureMask,
-    plan: ShardPlan,
-) -> (SuiteData, CacheStats) {
-    datasets_for(cache, &suite(), configs, trace_len, mask, plan)
-}
-
-/// Datasets for an explicit workload list — built-in subsets or suites
-/// mixing in external `.pasm` programs (see [`crate::programs`]) — each
-/// served from the content-addressed cache when possible. External
-/// workloads are keyed by program content, so the same `.pasm` file
-/// under any name hits the same entry.
-pub fn datasets_for(
-    cache: &DatasetCache,
-    workloads: &[perfvec_workloads::Workload],
-    configs: &[MicroArchConfig],
-    trace_len: u64,
-    mask: FeatureMask,
-    plan: ShardPlan,
-) -> (SuiteData, CacheStats) {
-    let (parts, stats) = workload_datasets(cache, workloads, trace_len, configs, mask, plan);
-    (SuiteData::assemble_from(workloads, parts), stats)
-}
 
 /// Train the foundation, failing when a loss went non-finite: the error
 /// names the diverged epoch and the epoch whose parameters were kept.
@@ -134,6 +99,7 @@ mod tests {
         use perfvec::data::build_program_data;
         use perfvec::foundation::ArchSpec;
         use perfvec_ml::schedule::StepDecay;
+        use perfvec_trace::features::FeatureMask;
         let configs = perfvec_sim::sample::predefined_configs();
         let trace = perfvec_workloads::by_name("xz").unwrap().trace(800);
         let data = [build_program_data(

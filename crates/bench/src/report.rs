@@ -69,15 +69,6 @@ impl Report {
         }
     }
 
-    /// Close an obs [`perfvec_obs::Span`] into a phase entry: the
-    /// span's name becomes the phase name, its elapsed seconds
-    /// accumulate (and the span logs itself at `debug` as usual).
-    pub fn phase_span(&mut self, span: perfvec_obs::Span) {
-        let name = span.name().to_string();
-        let secs = span.finish();
-        self.phase(&name, secs);
-    }
-
     /// Record one metric. Last write wins for repeated keys.
     pub fn metric(&mut self, key: &str, value: Json) {
         if let Some(slot) = self.metrics.iter_mut().find(|(k, _)| k == key) {

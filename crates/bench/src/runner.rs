@@ -5,11 +5,19 @@
 //! recording metrics and phase timings into the [`Report`] as it prints
 //! its human-readable lines.
 
+use crate::cache::workload_datasets;
+use crate::pipeline::SuiteData;
 use crate::report::Report;
+use crate::shard::ShardPlan;
 use crate::spec::{ExperimentKind, ExperimentSpec};
 use perfvec::predict::EvalRow;
 use perfvec_json::{obj, Json};
+use perfvec_sim::MicroArchConfig;
+use perfvec_trace::features::FeatureMask;
+use perfvec_trace::ProgramData;
+use perfvec_workloads::{suite, Workload};
 use std::fmt;
+use std::time::Instant;
 
 mod ablations;
 mod benches;
@@ -88,6 +96,50 @@ pub fn execute(spec: &ExperimentSpec) -> bool {
             false
         }
     }
+}
+
+/// The one dataset stage every experiment fetches through: datasets
+/// for `workloads` on `configs`, in workload order, from the spec's
+/// cache, generated on a miss under the [`ShardPlan::auto`] schedule
+/// for this fetch's trace length and machine count. The cache stats
+/// go into the report and one "datasets ready" line into the log;
+/// phase timing stays with the caller.
+pub(crate) fn datasets(
+    spec: &ExperimentSpec,
+    report: &mut Report,
+    workloads: &[Workload],
+    configs: &[MicroArchConfig],
+    trace_len: u64,
+    mask: FeatureMask,
+) -> Vec<ProgramData> {
+    let t = Instant::now();
+    let plan = ShardPlan::auto(trace_len, configs.len());
+    let cache = spec.dataset_cache();
+    let (data, stats) = workload_datasets(&cache, workloads, trace_len, configs, mask, plan);
+    report.absorb_cache(stats);
+    perfvec_obs::info!(
+        "runner",
+        "[{}] {} programs x {} machines: datasets ready in {:.1}s ({})",
+        spec.kind.name(),
+        workloads.len(),
+        configs.len(),
+        t.elapsed().as_secs_f64(),
+        stats.summary()
+    );
+    data
+}
+
+/// [`datasets`] for the Table II suite under the spec's feature mask,
+/// split into training and testing programs.
+pub(crate) fn suite_datasets(
+    spec: &ExperimentSpec,
+    report: &mut Report,
+    configs: &[MicroArchConfig],
+    trace_len: u64,
+) -> SuiteData {
+    let (workloads, mask) = (suite(), spec.feature_mask);
+    let parts = datasets(spec, report, &workloads, configs, trace_len, mask);
+    SuiteData::assemble_from(&workloads, parts)
 }
 
 /// Per-program evaluation rows as report JSON.

@@ -2,10 +2,9 @@
 //! `ablation_features`, `train_opt`, `tune_ridge`), each recording its
 //! metrics into the report as it prints.
 
-use super::RunError;
-use crate::cache::workload_datasets;
+use super::{datasets, suite_datasets, RunError};
 use crate::chart::bar_chart;
-use crate::pipeline::{subset_mean, suite_datasets_with};
+use crate::pipeline::subset_mean;
 use crate::report::Report;
 use crate::spec::ExperimentSpec;
 use perfvec::compose::program_representation;
@@ -19,7 +18,7 @@ use perfvec_ml::mlp::Mlp;
 use perfvec_ml::schedule::StepDecay;
 use perfvec_sim::sample::unseen_population;
 use perfvec_sim::MicroArchConfig;
-use perfvec_trace::features::{FeatureMask, BRANCH_FEATURES, MEM_FEATURES};
+use perfvec_trace::features::{BRANCH_FEATURES, MEM_FEATURES};
 use perfvec_trace::ProgramData;
 use perfvec_workloads::{suite, training_suite, SuiteRole, Workload};
 
@@ -56,23 +55,9 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
         "[ablation_data] generating datasets ({trace_len} instrs/program)..."
     );
     let configs = spec.march_configs();
-    let cache = spec.dataset_cache();
     let t_data = std::time::Instant::now();
-    let (data, cstats) = suite_datasets_with(
-        &cache,
-        &configs,
-        trace_len,
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
+    let data = suite_datasets(spec, report, &configs, trace_len);
     report.phase("datasets", t_data.elapsed().as_secs_f64());
-    report.absorb_cache(cstats);
-    perfvec_obs::info!(
-        "ablations",
-        "[ablation_data] datasets ready in {:.1}s ({})",
-        t_data.elapsed().as_secs_f64(),
-        cstats.summary()
-    );
     let mut cfg = scale.train_config();
     cfg.epochs /= 2;
     cfg.windows_per_epoch /= 2;
@@ -121,37 +106,13 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
         .filter(|w| w.role == SuiteRole::Training)
         .take(3)
         .collect();
-    let (tuning_full, ustats) = workload_datasets(
-        &cache,
-        &tuning_workloads,
-        trace_len,
-        &unseen_m,
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
+    let mask = spec.feature_mask;
+    let tuning_full = datasets(spec, report, &tuning_workloads, &unseen_m, trace_len, mask);
     let testing_workloads: Vec<Workload> = suite()
         .into_iter()
         .filter(|w| w.role == SuiteRole::Testing)
         .collect();
-    let (test_unseen_m, vstats) = workload_datasets(
-        &cache,
-        &testing_workloads,
-        trace_len,
-        &unseen_m,
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
-    {
-        let mut s = ustats;
-        s.absorb(vstats);
-        report.absorb_cache(s);
-        perfvec_obs::info!(
-            "ablations",
-            "[ablation_data] unseen-machine datasets ready in {:.1}s ({})",
-            t_sweep.elapsed().as_secs_f64(),
-            s.summary()
-        );
-    }
+    let test_unseen_m = datasets(spec, report, &testing_workloads, &unseen_m, trace_len, mask);
 
     let mut table = Vec::new();
     for k in [20usize, 77] {
@@ -248,23 +209,12 @@ pub fn ablation_features(spec: &ExperimentSpec, report: &mut Report) -> Result<(
     let trace_len = spec.trace_len_or(scale.trace_len() / 2);
     perfvec_obs::info!("ablations", "[ablation_features] generating datasets...");
     let configs = spec.march_configs();
-    let cache = spec.dataset_cache();
     let t_data = std::time::Instant::now();
-    let (data, cstats) = suite_datasets_with(
-        &cache,
-        &configs,
-        trace_len,
-        FeatureMask::Full,
-        spec.shard_plan(),
-    );
+    // The spec cannot set `features` for this kind, so these datasets
+    // carry the full mask; the ablated copies are masked below.
+    let data = suite_datasets(spec, report, &configs, trace_len);
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
-    report.absorb_cache(cstats);
-    perfvec_obs::info!(
-        "ablations",
-        "[ablation_features] datasets ready in {data_secs:.1}s ({})",
-        cstats.summary()
-    );
     let mut cfg = scale.train_config();
     cfg.epochs /= 2;
     cfg.windows_per_epoch /= 2;
@@ -338,25 +288,18 @@ pub fn train_opt(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
     perfvec_obs::info!("ablations", "[train_opt] generating datasets...");
     let configs = spec.march_configs();
     let t_data = std::time::Instant::now();
-    let cache = spec.dataset_cache();
     let workloads: Vec<_> = training_suite().into_iter().take(3).collect();
     let trace_len = spec.trace_len_or(8_000);
-    let (data, cstats) = workload_datasets(
-        &cache,
+    let data = datasets(
+        spec,
+        report,
         &workloads,
-        trace_len,
         &configs,
+        trace_len,
         spec.feature_mask,
-        spec.shard_plan(),
     );
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
-    report.absorb_cache(cstats);
-    perfvec_obs::info!(
-        "ablations",
-        "[train_opt] datasets ready in {data_secs:.1}s ({})",
-        cstats.summary()
-    );
 
     println!("== Representation reuse: one-epoch wall time vs sampled machines ==");
     println!(
@@ -438,51 +381,14 @@ pub fn train_opt(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
     Ok(())
 }
 
-/// Refit ridge-strength sweep on one trained model (scratch utility;
-/// `PV_*` env vars override arch/trace knobs as before).
+/// Refit ridge-strength sweep on one trained model (scratch utility).
 pub fn tune_ridge(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
     let configs = spec.march_configs();
-    let cache = spec.dataset_cache();
-    let env_tlen: u64 = std::env::var("PV_TRACE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let tlen = spec.trace_len.unwrap_or(env_tlen);
     let t_data = std::time::Instant::now();
-    let (data, cstats) = if tlen > 0 {
-        suite_datasets_with(&cache, &configs, tlen, spec.feature_mask, spec.shard_plan())
-    } else {
-        suite_datasets_with(
-            &cache,
-            &configs,
-            scale.trace_len(),
-            spec.feature_mask,
-            spec.shard_plan(),
-        )
-    };
+    let data = suite_datasets(spec, report, &configs, spec.trace_len_or(scale.trace_len()));
     report.phase("datasets", t_data.elapsed().as_secs_f64());
-    report.absorb_cache(cstats);
-    perfvec_obs::info!(
-        "ablations",
-        "[tune_ridge] datasets ready in {:.1}s ({})",
-        t_data.elapsed().as_secs_f64(),
-        cstats.summary()
-    );
-    let mut cfg = scale.train_config();
-    // override arch from env for sweeps
-    if let Ok(d) = std::env::var("PV_DIM") {
-        cfg.arch.dim = d.parse().unwrap();
-    }
-    if let Ok(c) = std::env::var("PV_CTX") {
-        cfg.context = c.parse().unwrap();
-    }
-    if let Ok(e) = std::env::var("PV_EPOCHS") {
-        cfg.epochs = e.parse().unwrap();
-    }
-    if let Ok(w) = std::env::var("PV_WINDOWS") {
-        cfg.windows_per_epoch = w.parse().unwrap();
-    }
+    let cfg = scale.train_config();
     let trained = crate::pipeline::train(&data.train, &cfg)?;
     perfvec_obs::info!(
         "ablations",

@@ -4,8 +4,7 @@
 //! Parity/regression failures return [`RunError`] with the line to
 //! print before exiting nonzero.
 
-use super::RunError;
-use crate::cache::workload_datasets;
+use super::{datasets, RunError};
 use crate::report::Report;
 use crate::scale::Scale;
 use crate::spec::ExperimentSpec;
@@ -15,7 +14,7 @@ use perfvec::trainer::{TrainConfig, TrainedFoundation};
 use perfvec::{predict_total_tenths, program_representation, MarchTable};
 use perfvec_json::{obj, Json};
 use perfvec_ml::schedule::StepDecay;
-use perfvec_obs::{info, warn, Histogram, Span};
+use perfvec_obs::{info, warn, Histogram};
 use perfvec_serve::registry::{LoadedModel, ModelRegistry};
 use perfvec_serve::server::named_workload_features;
 use perfvec_serve::{start, EngineConfig, PredictEngine, ServerConfig};
@@ -42,7 +41,7 @@ fn http(stream: &mut TcpStream, method: &str, path: &str, body: &str) -> (u16, J
 /// runs in CI time; the kernels under test are the same).
 fn bench_scale_dims(scale: Scale) -> (usize, usize) {
     match scale {
-        Scale::Quick | Scale::Auto => (16usize, 8usize),
+        Scale::Quick => (16usize, 8usize),
         Scale::Full => (32, 12),
     }
 }
@@ -250,7 +249,7 @@ pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
     let requests = spec.param_usize(
         "requests",
         match scale {
-            Scale::Quick | Scale::Auto => 160,
+            Scale::Quick => 160,
             Scale::Full => 480,
         },
     )?;
@@ -274,7 +273,7 @@ pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
             "508.namd-like",
         ],
         base_len: match scale {
-            Scale::Quick | Scale::Auto => 1_500,
+            Scale::Quick => 1_500,
             Scale::Full => 4_000,
         },
         marches: training_population(DEFAULT_MARCH_SEED).len(),
@@ -463,27 +462,19 @@ pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
 
 fn bench_datasets(spec: &ExperimentSpec, report: &mut Report) -> Vec<ProgramData> {
     let configs = training_population(spec.seed);
-    let cache = spec.dataset_cache();
     let workloads: Vec<_> = training_suite().into_iter().take(3).collect();
     let trace_len = spec.trace_len_or(match spec.scale {
-        Scale::Quick | Scale::Auto => 6_000,
+        Scale::Quick => 6_000,
         Scale::Full => 20_000,
     });
-    let (data, stats) = workload_datasets(
-        &cache,
+    datasets(
+        spec,
+        report,
         &workloads,
-        trace_len,
         &configs,
+        trace_len,
         FeatureMask::Full,
-        spec.shard_plan(),
-    );
-    info!(
-        "train_bench",
-        "[train_bench] datasets ready ({})",
-        stats.summary()
-    );
-    report.absorb_cache(stats);
-    data
+    )
 }
 
 fn bench_config(arch: ArchSpec, context: usize, batch: usize) -> TrainConfig {
@@ -574,7 +565,7 @@ pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
     let steps = spec.param_usize(
         "steps",
         match scale {
-            Scale::Quick | Scale::Auto => 60,
+            Scale::Quick => 60,
             Scale::Full => 120,
         },
     )?;
@@ -782,9 +773,9 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
         "[sim_bench] tracing {} workloads at {trace_len} instructions...",
         workloads.len()
     );
-    let trace_span = Span::start("traces");
+    let t_traces = Instant::now();
     let traces: Vec<_> = workloads.iter().map(|w| w.trace(trace_len)).collect();
-    report.phase_span(trace_span);
+    report.phase("traces", t_traces.elapsed().as_secs_f64());
     let grid = traces.len() * configs.len();
     let sim_insts: u64 = traces.iter().map(|t| t.len() as u64).sum::<u64>() * configs.len() as u64;
 
@@ -827,7 +818,7 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
     // recorded outside the simulated state.
     let flat_cell_us = Histogram::new();
     let mut counters = perfvec_sim::SimStats::default();
-    let bench_span = Span::start("bench");
+    let t_bench = Instant::now();
     for round in 0..rounds {
         for (wi, t) in traces.iter().enumerate() {
             // Round 0 also runs the workload's per-kind columns, kept
@@ -884,7 +875,7 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
             );
         }
     }
-    report.phase_span(bench_span);
+    report.phase("bench", t_bench.elapsed().as_secs_f64());
 
     // Sums of the per-cell bests, overall and split by core kind.
     let mut kind_secs = [[0.0f64; 2]; 2]; // [ooo, inorder] x [flat, ref]

@@ -1,12 +1,9 @@
 //! The figure experiments (fig3–fig8) plus the `custom` pipeline, each
 //! recording its metrics into the report as it prints.
 
-use super::{rows_json, RunError};
-use crate::cache::workload_datasets;
+use super::{datasets, rows_json, suite_datasets, RunError};
 use crate::chart::{bar_chart, dual_series, error_chart, surface};
-use crate::pipeline::{
-    eval_seen_unseen, subset_mean, suite_datasets_with, train_and_refit, SuiteData,
-};
+use crate::pipeline::{eval_seen_unseen, subset_mean, train_and_refit, SuiteData};
 use crate::report::Report;
 use crate::spec::{ExperimentKind, ExperimentSpec};
 use perfvec::compose::{program_representation, program_representation_streaming};
@@ -58,26 +55,22 @@ pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
         resolved.workloads.len(),
         configs.len()
     );
-    let cache = spec.dataset_cache();
     // Each phase gets its own instant: `t0` measures the whole run, so
     // reusing it per phase would misattribute earlier phases' time.
     let t_data = std::time::Instant::now();
-    let (data, cstats) = crate::pipeline::datasets_for(
-        &cache,
-        &resolved.workloads,
+    let workloads = &resolved.workloads;
+    let parts = datasets(
+        spec,
+        report,
+        workloads,
         &configs,
         trace_len,
         spec.feature_mask,
-        spec.shard_plan(),
     );
+    let data = SuiteData::assemble_from(workloads, parts);
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
-    report.absorb_cache(cstats);
-    perfvec_obs::info!(
-        "figures",
-        "[{tag}] datasets ready in {data_secs:.1}s ({}); training foundation model...",
-        cstats.summary()
-    );
+    perfvec_obs::info!("figures", "[{tag}] training foundation model...");
 
     let cfg = train_config(spec)?;
     let t_train = std::time::Instant::now();
@@ -136,23 +129,11 @@ pub fn fig4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     let t0 = std::time::Instant::now();
     perfvec_obs::info!("figures", "[fig4] generating datasets...");
     let configs = spec.march_configs();
-    let cache = spec.dataset_cache();
     let t_data = std::time::Instant::now();
-    let (data, cstats) = suite_datasets_with(
-        &cache,
-        &configs,
-        spec.trace_len_or(scale.trace_len()),
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
+    let trace_len = spec.trace_len_or(scale.trace_len());
+    let data = suite_datasets(spec, report, &configs, trace_len);
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
-    report.absorb_cache(cstats);
-    perfvec_obs::info!(
-        "figures",
-        "[fig4] datasets ready in {data_secs:.1}s ({})",
-        cstats.summary()
-    );
     let cfg = scale.train_config();
 
     perfvec_obs::info!(
@@ -243,24 +224,11 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         "[fig5] generating datasets + training foundation..."
     );
     let configs = spec.march_configs();
-    let cache = spec.dataset_cache();
     let trace_len = spec.trace_len_or(scale.trace_len());
     let t_data = std::time::Instant::now();
-    let (data, cstats) = suite_datasets_with(
-        &cache,
-        &configs,
-        trace_len,
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
+    let data = suite_datasets(spec, report, &configs, trace_len);
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
-    report.absorb_cache(cstats);
-    perfvec_obs::info!(
-        "figures",
-        "[fig5] datasets ready in {data_secs:.1}s ({})",
-        cstats.summary()
-    );
     let t_train = std::time::Instant::now();
     let trained = train_and_refit(&data, &scale.train_config())?;
     let train_secs = t_train.elapsed().as_secs_f64();
@@ -279,15 +247,8 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         .filter(|w| w.role == SuiteRole::Training)
         .take(3)
         .collect();
-    let (tuning, tstats) = workload_datasets(
-        &cache,
-        &tuning_workloads,
-        trace_len,
-        &unseen,
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
-    report.absorb_cache(tstats);
+    let mask = spec.feature_mask;
+    let tuning = datasets(spec, report, &tuning_workloads, &unseen, trace_len, mask);
     let ft = FinetuneConfig {
         windows: 5_000,
         epochs: 40,
@@ -296,22 +257,14 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     let (march_table, ft_loss) = learn_march_reps(&trained.foundation, &tuning, &ft);
     let ft_secs = t_ft.elapsed().as_secs_f64();
     report.phase("finetune", ft_secs);
-    perfvec_obs::info!("figures", 
-        "[fig5] fine-tuned in {ft_secs:.1}s (final loss {ft_loss:.4}, tuning {}); evaluating all programs...",
-        tstats.summary()
+    perfvec_obs::info!(
+        "figures",
+        "[fig5] fine-tuned in {ft_secs:.1}s (final loss {ft_loss:.4}); evaluating all programs..."
     );
 
     // Evaluate every program on the unseen machines.
     let t_eval = std::time::Instant::now();
-    let (eval_data, estats) = workload_datasets(
-        &cache,
-        &suite(),
-        trace_len,
-        &unseen,
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
-    report.absorb_cache(estats);
+    let eval_data = datasets(spec, report, &suite(), &unseen, trace_len, mask);
     let mut rows = Vec::new();
     for (w, d) in suite().iter().zip(&eval_data) {
         let rp = program_representation(&trained.foundation, &d.features);
@@ -327,11 +280,7 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     }
     let eval_secs = t_eval.elapsed().as_secs_f64();
     report.phase("eval", eval_secs);
-    perfvec_obs::info!(
-        "figures",
-        "[fig5] evaluated in {eval_secs:.1}s ({})",
-        estats.summary()
-    );
+    perfvec_obs::info!("figures", "[fig5] evaluated in {eval_secs:.1}s");
     println!(
         "{}",
         error_chart(
@@ -372,23 +321,10 @@ pub fn fig6(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         "[fig6] generating ablation datasets ({trace_len} instrs/program)..."
     );
     let configs = spec.march_configs();
-    let cache = spec.dataset_cache();
     let t_data = std::time::Instant::now();
-    let (data, cstats) = suite_datasets_with(
-        &cache,
-        &configs,
-        trace_len,
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
+    let data = suite_datasets(spec, report, &configs, trace_len);
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
-    report.absorb_cache(cstats);
-    perfvec_obs::info!(
-        "figures",
-        "[fig6] datasets ready in {data_secs:.1}s ({})",
-        cstats.summary()
-    );
     let (train, test) = (data.train, data.test);
 
     let d = 32usize;
@@ -550,24 +486,11 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     let t0 = std::time::Instant::now();
     perfvec_obs::info!("figures", "[fig7] training foundation model...");
     let configs = spec.march_configs();
-    let cache = spec.dataset_cache();
     let trace_len = spec.trace_len_or(scale.trace_len());
     let t_data = std::time::Instant::now();
-    let (data, cstats) = suite_datasets_with(
-        &cache,
-        &configs,
-        trace_len,
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
+    let data = suite_datasets(spec, report, &configs, trace_len);
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
-    report.absorb_cache(cstats);
-    perfvec_obs::info!(
-        "figures",
-        "[fig7] datasets ready in {data_secs:.1}s ({})",
-        cstats.summary()
-    );
     let t_train = std::time::Instant::now();
     let trained = train_and_refit(&data, &scale.train_config())?;
     let train_secs = t_train.elapsed().as_secs_f64();
@@ -600,20 +523,14 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     );
     let t_tune = std::time::Instant::now();
     let tuning_workloads: Vec<_> = suite().into_iter().take(3).collect();
-    let (tuning, tstats) = workload_datasets(
-        &cache,
+    let mask = spec.feature_mask;
+    let tuning = datasets(
+        spec,
+        report,
         &tuning_workloads,
-        trace_len,
         &tune_configs,
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
-    report.absorb_cache(tstats);
-    perfvec_obs::info!(
-        "figures",
-        "[fig7] tuning data ready in {:.1}s ({})",
-        t_tune.elapsed().as_secs_f64(),
-        tstats.summary()
+        trace_len,
+        mask,
     );
     report.phase("tuning_data", t_tune.elapsed().as_secs_f64());
 
@@ -738,23 +655,11 @@ pub fn fig8(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     let t0 = std::time::Instant::now();
     perfvec_obs::info!("figures", "[fig8] training foundation model...");
     let configs = spec.march_configs();
-    let cache = spec.dataset_cache();
     let t_data = std::time::Instant::now();
-    let (data, cstats) = suite_datasets_with(
-        &cache,
-        &configs,
-        spec.trace_len_or(scale.trace_len()),
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
+    let trace_len = spec.trace_len_or(scale.trace_len());
+    let data = suite_datasets(spec, report, &configs, trace_len);
     let data_secs = t_data.elapsed().as_secs_f64();
     report.phase("datasets", data_secs);
-    report.absorb_cache(cstats);
-    perfvec_obs::info!(
-        "figures",
-        "[fig8] datasets ready in {data_secs:.1}s ({})",
-        cstats.summary()
-    );
     let t_train = std::time::Instant::now();
     let trained = train_and_refit(&data, &scale.train_config())?;
     let train_secs = t_train.elapsed().as_secs_f64();

@@ -10,9 +10,8 @@
 //! from cache — is probed by timing a few live simulations instead of
 //! the whole grid.
 
-use super::RunError;
-use crate::cache::workload_datasets;
-use crate::pipeline::{suite_datasets_with, train_and_refit};
+use super::{datasets, suite_datasets, RunError};
+use crate::pipeline::train_and_refit;
 use crate::report::Report;
 use crate::spec::ExperimentSpec;
 use perfvec::compose::{program_representation, program_representation_streaming};
@@ -90,24 +89,9 @@ pub fn table3(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
     // --- PerfVec: representation generation (one-time, parallel) then
     //     instant dot-product predictions ---
     let t_data = Instant::now();
-    let cache = spec.dataset_cache();
-    let (mut datasets, dstats) = workload_datasets(
-        &cache,
-        &workloads,
-        trace_len,
-        &configs,
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
-    let data = datasets.remove(0);
-    report.absorb_cache(dstats);
+    let mask = spec.feature_mask;
+    let data = datasets(spec, report, &workloads, &configs, trace_len, mask).remove(0);
     report.phase("datasets", t_data.elapsed().as_secs_f64());
-    perfvec_obs::info!(
-        "tables",
-        "[table3] PerfVec dataset ready in {:.1}s ({})",
-        t_data.elapsed().as_secs_f64(),
-        dstats.summary()
-    );
     let cfg = TrainConfig {
         arch: ArchSpec::default_lstm(32),
         context: 12,
@@ -245,7 +229,6 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
         .map(|&(l1, l2)| with_cache_sizes(&base, l1, l2))
         .collect();
     let trace_len = spec.trace_len_or(scale.trace_len());
-    let cache = spec.dataset_cache();
 
     perfvec_obs::info!(
         "tables",
@@ -262,26 +245,12 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
     // within f32 rounding of the simulator's exact cycle totals (the
     // stored increments are f32; ~1e-4 relative, far below the
     // percent-scale spreads the table ranks on).
-    let (gt_data, gstats) = workload_datasets(
-        &cache,
-        &suite(),
-        trace_len,
-        &grid_configs,
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
-    let times: Vec<Vec<f64>> = gt_data
+    let mask = spec.feature_mask;
+    let times: Vec<Vec<f64>> = datasets(spec, report, &suite(), &grid_configs, trace_len, mask)
         .iter()
         .map(|d| (0..d.num_marches()).map(|j| d.total_time(j)).collect())
         .collect();
-    report.absorb_cache(gstats);
-    let gt_secs = t_exhaustive.elapsed().as_secs_f64();
-    report.phase("ground_truth", gt_secs);
-    perfvec_obs::info!(
-        "tables",
-        "[table4] ground truth ready in {gt_secs:.1}s ({})",
-        gstats.summary()
-    );
+    report.phase("ground_truth", t_exhaustive.elapsed().as_secs_f64());
     let true_obj: Vec<Vec<f64>> = times
         .iter()
         .map(|ts| {
@@ -417,21 +386,8 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
     );
     let configs = spec.march_configs();
     let t_data = Instant::now();
-    let (data, cstats) = suite_datasets_with(
-        &cache,
-        &configs,
-        trace_len,
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
-    report.absorb_cache(cstats);
+    let data = suite_datasets(spec, report, &configs, trace_len);
     report.phase("datasets", t_data.elapsed().as_secs_f64());
-    perfvec_obs::info!(
-        "tables",
-        "[table4] foundation datasets ready in {:.1}s ({})",
-        t_data.elapsed().as_secs_f64(),
-        cstats.summary()
-    );
     let t_found = Instant::now();
     let trained = train_and_refit(&data, &scale.train_config())?;
     let foundation_secs = t_found.elapsed().as_secs_f64();
@@ -451,19 +407,13 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
         .map(|&(l1, l2)| cache_param_vector(l1, l2))
         .collect();
     let tuning_workloads: Vec<_> = suite().into_iter().take(3).collect();
-    let (tuning, tstats) = workload_datasets(
-        &cache,
+    let tuning = datasets(
+        spec,
+        report,
         &tuning_workloads,
-        trace_len,
         &tune_configs,
-        spec.feature_mask,
-        spec.shard_plan(),
-    );
-    report.absorb_cache(tstats);
-    perfvec_obs::info!(
-        "tables",
-        "[table4] PerfVec tuning data ready ({})",
-        tstats.summary()
+        trace_len,
+        mask,
     );
     let cached = cache_representations(&trained.foundation, &tuning, 5_000, 0x715e);
     let (march_model, _) = train_march_model(

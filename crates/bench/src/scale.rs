@@ -12,14 +12,8 @@ use perfvec_ml::schedule::StepDecay;
 /// Experiment scale selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Minutes-scale runs (default; what `EXPERIMENTS.md` records).
+    /// Minutes-scale runs (the default).
     Quick,
-    /// `Quick`'s protocol with machine-adaptive dataset sharding: cold
-    /// grid generation is sized from detected RAM and cores (see
-    /// [`crate::shard::ShardPlan`]). Scale never changes *what* is
-    /// computed — outputs are byte-identical to `Quick` — only how
-    /// generation is scheduled.
-    Auto,
     /// Larger traces, wider models, more epochs.
     Full,
 }
@@ -28,7 +22,7 @@ impl Scale {
     /// Dynamic instructions collected per workload trace.
     pub fn trace_len(&self) -> u64 {
         match self {
-            Scale::Quick | Scale::Auto => 20_000,
+            Scale::Quick => 20_000,
             Scale::Full => 60_000,
         }
     }
@@ -36,7 +30,7 @@ impl Scale {
     /// Training configuration for the foundation model.
     pub fn train_config(&self) -> TrainConfig {
         match self {
-            Scale::Quick | Scale::Auto => TrainConfig {
+            Scale::Quick => TrainConfig {
                 arch: ArchSpec::default_lstm(32),
                 context: 12,
                 epochs: 26,
@@ -86,20 +80,5 @@ mod tests {
         let f = Scale::Full.train_config();
         assert!(q.arch.dim <= f.arch.dim);
         assert!(q.epochs <= f.epochs);
-    }
-
-    #[test]
-    fn auto_matches_quick_protocol_exactly() {
-        // `auto` is a scheduling choice, never a protocol change: any
-        // divergence here would silently invalidate cached datasets and
-        // recorded experiment numbers.
-        assert_eq!(Scale::Auto.trace_len(), Scale::Quick.trace_len());
-        assert_eq!(Scale::Auto.march_seed(), Scale::Quick.march_seed());
-        let a = Scale::Auto.train_config();
-        let q = Scale::Quick.train_config();
-        assert_eq!(a.arch.dim, q.arch.dim);
-        assert_eq!(a.context, q.context);
-        assert_eq!(a.epochs, q.epochs);
-        assert_eq!(a.windows_per_epoch, q.windows_per_epoch);
     }
 }

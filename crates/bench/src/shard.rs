@@ -3,12 +3,10 @@
 //! A cold `table4` run generates 17 programs × dozens of machines of
 //! simulation data; each program's dataset (features + one target
 //! column per machine) can reach hundreds of megabytes at full trace
-//! length. The legacy policy — parallelize across *all* missing
-//! programs whenever misses ≥ cores — is right for the quick scale but
-//! can overcommit memory on small machines at full scale, and
-//! undercommit wide machines with few misses. A [`ShardPlan`] makes the
-//! policy explicit: how many misses justify program-level parallelism,
-//! and how many programs may be generated in flight at once.
+//! length. A [`ShardPlan`] makes the schedule explicit: how many misses
+//! justify program-level parallelism, and how many programs may be
+//! generated in flight at once. [`ShardPlan::auto`] sizes both from the
+//! detected cores and available memory.
 //!
 //! Plans only change *scheduling*. Generation runs through the vendored
 //! rayon's ordered `parallel_map` in index order, wave by wave, so the
@@ -42,21 +40,13 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// The historical policy: fan out across all misses when there are
-    /// at least as many misses as cores, otherwise generate one program
-    /// at a time.
-    pub fn legacy() -> ShardPlan {
-        ShardPlan {
-            min_parallel_misses: detected_cores().max(2),
-            max_in_flight: usize::MAX,
-        }
-    }
-
-    /// Adaptive policy for `--scale auto` (see
-    /// [`crate::spec::ExperimentSpec::shard_plan`]): bound in-flight programs by
-    /// detected available memory (each program's dataset estimated from
-    /// `trace_len` and the machine-population size) and go parallel as
-    /// soon as two programs miss.
+    /// The schedule for a fetch of `num_configs` machines at
+    /// `trace_len` instructions on this host: fan out across programs
+    /// once at least as many programs miss as there are cores (fewer
+    /// stay per-machine parallel inside one program at a time), in
+    /// waves bounded by detected available memory (each program's
+    /// dataset estimated from `trace_len` and `num_configs`) and by the
+    /// core count.
     pub fn auto(trace_len: u64, num_configs: usize) -> ShardPlan {
         Self::auto_for(
             trace_len,
@@ -73,7 +63,7 @@ impl ShardPlan {
         let by_mem = (budget / per_program.max(1)).max(1);
         let by_mem = usize::try_from(by_mem).unwrap_or(usize::MAX);
         ShardPlan {
-            min_parallel_misses: 2,
+            min_parallel_misses: cores.max(2),
             max_in_flight: by_mem.min(cores.max(1)),
         }
     }
@@ -121,13 +111,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn legacy_matches_historical_policy() {
-        let p = ShardPlan::legacy();
-        assert_eq!(p.min_parallel_misses, detected_cores().max(2));
-        assert_eq!(p.max_in_flight, usize::MAX);
-    }
-
-    #[test]
     fn auto_bounds_in_flight_by_memory() {
         // 1 GiB available, ~85 MB per program at the quick scale with
         // 77 machines: the 1/2 headroom budget admits ~6 in flight.
@@ -135,7 +118,29 @@ mod tests {
         let p = ShardPlan::auto_for(20_000, 77, 1 << 30, 64);
         assert_eq!(p.max_in_flight as u64, ((1u64 << 30) / 2) / per);
         assert!(p.max_in_flight >= 1);
-        assert_eq!(p.min_parallel_misses, 2);
+        assert_eq!(p.min_parallel_misses, 64);
+    }
+
+    #[test]
+    fn auto_goes_parallel_at_the_core_count() {
+        // A two-core host with 16 GiB available: parallel from two
+        // misses, two programs in flight.
+        let two = ShardPlan::auto_for(20_000, 77, 16 << 30, 2);
+        assert_eq!(
+            two,
+            ShardPlan {
+                min_parallel_misses: 2,
+                max_in_flight: 2,
+            }
+        );
+        // A wide host stays per-machine parallel below 64 misses.
+        let wide = ShardPlan::auto_for(20_000, 77, 16 << 30, 64);
+        assert_eq!(wide.min_parallel_misses, 64);
+        // One core still needs two misses to fan out at all.
+        assert_eq!(
+            ShardPlan::auto_for(20_000, 77, 16 << 30, 1).min_parallel_misses,
+            2
+        );
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::cache::DatasetCache;
 use crate::scale::Scale;
-use crate::shard::ShardPlan;
 use perfvec_json::{obj, ConvertError, FromJson, Json, ToJson};
 use perfvec_sim::sample::{training_population, DEFAULT_MARCH_SEED};
 use perfvec_sim::MicroArchConfig;
@@ -422,21 +421,6 @@ impl ExperimentSpec {
         ])
     }
 
-    /// The dataset-generation schedule this spec's scale implies:
-    /// `auto` sizes waves from detected RAM and cores (honoring an
-    /// explicit `trace_len` override in the memory estimate), other
-    /// scales keep the historical policy. Scheduling only — the
-    /// generated bytes are identical for every plan.
-    pub fn shard_plan(&self) -> ShardPlan {
-        match self.scale {
-            Scale::Auto => ShardPlan::auto(
-                self.trace_len.unwrap_or_else(|| self.scale.trace_len()),
-                self.march_configs().len(),
-            ),
-            Scale::Quick | Scale::Full => ShardPlan::legacy(),
-        }
-    }
-
     /// The dataset cache this spec's policy selects.
     pub fn dataset_cache(&self) -> DatasetCache {
         match self.cache {
@@ -510,13 +494,12 @@ pub fn parse_param_value(raw: &str) -> Json {
     Json::parse(raw).unwrap_or_else(|_| Json::Str(raw.to_string()))
 }
 
-/// Parse a scale name (`quick` | `full` | `auto`).
+/// Parse a scale name (`quick` | `full`).
 pub fn parse_scale(s: &str) -> Result<Scale, String> {
     match s {
         "quick" => Ok(Scale::Quick),
         "full" => Ok(Scale::Full),
-        "auto" => Ok(Scale::Auto),
-        other => Err(format!("unknown scale {other:?} (quick | full | auto)")),
+        other => Err(format!("unknown scale {other:?} (quick | full)")),
     }
 }
 
@@ -525,7 +508,6 @@ pub fn scale_name(s: Scale) -> &'static str {
     match s {
         Scale::Quick => "quick",
         Scale::Full => "full",
-        Scale::Auto => "auto",
     }
 }
 
@@ -645,18 +627,6 @@ mod tests {
             Ok("transformer,bilstm".to_string())
         );
         assert_eq!(spec.param_str("missing", "lstm"), Ok("lstm".to_string()));
-    }
-
-    #[test]
-    fn shard_plan_dispatches_on_scale() {
-        let mut spec = ExperimentSpec::new(ExperimentKind::Fig3);
-        assert_eq!(spec.shard_plan(), ShardPlan::legacy());
-        spec.scale = Scale::Full;
-        assert_eq!(spec.shard_plan(), ShardPlan::legacy());
-        spec.scale = Scale::Auto;
-        let auto = spec.shard_plan();
-        assert_eq!(auto.min_parallel_misses, 2);
-        assert!(auto.max_in_flight >= 1);
     }
 
     #[test]

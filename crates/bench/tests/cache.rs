@@ -49,7 +49,7 @@ fn cold_run_misses_warm_run_hits_and_both_equal_fresh_generation() {
         trace_len,
         &configs,
         FeatureMask::Full,
-        ShardPlan::legacy(),
+        ShardPlan::auto(trace_len, configs.len()),
     );
     assert_eq!(s_cold.hits, 0);
     assert_eq!(s_cold.misses, workloads.len());
@@ -60,7 +60,7 @@ fn cold_run_misses_warm_run_hits_and_both_equal_fresh_generation() {
         trace_len,
         &configs,
         FeatureMask::Full,
-        ShardPlan::legacy(),
+        ShardPlan::auto(trace_len, configs.len()),
     );
     assert_eq!(s_warm.hits, workloads.len(), "second run must be all hits");
     assert_eq!(s_warm.misses, 0);
@@ -71,7 +71,7 @@ fn cold_run_misses_warm_run_hits_and_both_equal_fresh_generation() {
         trace_len,
         &configs,
         FeatureMask::Full,
-        ShardPlan::legacy(),
+        ShardPlan::auto(trace_len, configs.len()),
     );
     assert!(!s_off.enabled);
 
@@ -94,7 +94,7 @@ fn corrupt_and_truncated_entries_are_regenerated_with_identical_results() {
         trace_len,
         &configs,
         FeatureMask::Full,
-        ShardPlan::legacy(),
+        ShardPlan::auto(trace_len, configs.len()),
     );
 
     // Vandalize two entries: one overwritten with garbage, one truncated
@@ -116,7 +116,7 @@ fn corrupt_and_truncated_entries_are_regenerated_with_identical_results() {
         trace_len,
         &configs,
         FeatureMask::Full,
-        ShardPlan::legacy(),
+        ShardPlan::auto(trace_len, configs.len()),
     );
     assert_eq!(
         stats.recovered, 2,
@@ -135,7 +135,7 @@ fn corrupt_and_truncated_entries_are_regenerated_with_identical_results() {
         trace_len,
         &configs,
         FeatureMask::Full,
-        ShardPlan::legacy(),
+        ShardPlan::auto(trace_len, configs.len()),
     );
     assert_eq!(s3.hits, workloads.len());
     assert_eq!(s3.recovered, 0);
@@ -155,7 +155,7 @@ fn changing_any_key_ingredient_misses_instead_of_serving_stale_data() {
         trace_len,
         &configs,
         FeatureMask::Full,
-        ShardPlan::legacy(),
+        ShardPlan::auto(trace_len, configs.len()),
     );
     assert_eq!(s.misses, 2);
 
@@ -166,7 +166,7 @@ fn changing_any_key_ingredient_misses_instead_of_serving_stale_data() {
         trace_len / 2,
         &configs,
         FeatureMask::Full,
-        ShardPlan::legacy(),
+        ShardPlan::auto(trace_len, configs.len()),
     );
     assert_eq!(s.hits, 0);
     // Different machine population → no hits.
@@ -176,7 +176,7 @@ fn changing_any_key_ingredient_misses_instead_of_serving_stale_data() {
         trace_len,
         &configs[..2],
         FeatureMask::Full,
-        ShardPlan::legacy(),
+        ShardPlan::auto(trace_len, configs.len()),
     );
     assert_eq!(s.hits, 0);
     // Different feature mask → no hits.
@@ -186,7 +186,7 @@ fn changing_any_key_ingredient_misses_instead_of_serving_stale_data() {
         trace_len,
         &configs,
         FeatureMask::NoMemBranch,
-        ShardPlan::legacy(),
+        ShardPlan::auto(trace_len, configs.len()),
     );
     assert_eq!(s.hits, 0);
     // Original tuple still hits.
@@ -196,7 +196,7 @@ fn changing_any_key_ingredient_misses_instead_of_serving_stale_data() {
         trace_len,
         &configs,
         FeatureMask::Full,
-        ShardPlan::legacy(),
+        ShardPlan::auto(trace_len, configs.len()),
     );
     assert_eq!(s.hits, 2);
     let _ = std::fs::remove_dir_all(&root);

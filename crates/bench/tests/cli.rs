@@ -86,6 +86,14 @@ fn missing_flag_value_and_bad_values_exit_2() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("bogus"), "{}", stderr(&out));
+
+    // `auto` is no scale: every scale shards generation adaptively.
+    let out = perfvec()
+        .args(["run", "fig3", "--scale", "auto"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("quick | full"), "{}", stderr(&out));
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! A [`ShardPlan`] is a scheduling decision, never a semantic one: the
 //! dataset bytes produced by cold grid generation must be identical for
-//! every plan — sequential, the historical all-at-once policy, and
-//! memory-bounded waves of any width (which is what `--scale auto`
-//! picks based on the machine it lands on). This is what makes `auto`
-//! safe to default to on CI runners of any shape: the content-addressed
-//! cache keys stay valid and recorded experiment numbers never move.
+//! every plan — sequential, one all-at-once wave, and memory-bounded
+//! waves of any width (which is what [`ShardPlan::auto`] picks based on
+//! the machine it lands on). This is what makes the adaptive schedule
+//! safe on hosts of any shape: the content-addressed cache keys stay
+//! valid and recorded experiment numbers never move.
 
 use perfvec_bench::cache::{workload_datasets, DatasetCache};
 use perfvec_bench::shard::ShardPlan;
@@ -41,8 +41,11 @@ fn every_shard_plan_generates_byte_identical_datasets() {
         min_parallel_misses: usize::MAX,
         max_in_flight: 1,
     });
-    // The historical policy: one parallel_map over all misses.
-    let legacy = generated_bytes(ShardPlan::legacy());
+    // One parallel_map over all misses (a single wave).
+    let single_wave = generated_bytes(ShardPlan {
+        min_parallel_misses: 2,
+        max_in_flight: usize::MAX,
+    });
     // Memory-starved auto: one program in flight at a time.
     let narrow = generated_bytes(ShardPlan {
         min_parallel_misses: 2,
@@ -57,7 +60,7 @@ fn every_shard_plan_generates_byte_identical_datasets() {
     let auto = generated_bytes(ShardPlan::auto(1_000, 3));
 
     for (name, other) in [
-        ("legacy", &legacy),
+        ("single_wave", &single_wave),
         ("narrow", &narrow),
         ("waves2", &waves2),
         ("auto", &auto),

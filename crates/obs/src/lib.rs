@@ -5,7 +5,6 @@
 //! - [`Counter`] / [`Gauge`]: lock-free atomic instruments.
 //! - [`Histogram`]: log-bucketed latency histogram with exact bucket
 //!   counts and documented quantile semantics (see [`histogram`]).
-//! - [`Span`]: lightweight span timer for phase profiling.
 //! - [`Registry`]: named metric families with labels, rendered in
 //!   Prometheus text exposition format (version 0.0.4).
 //! - [`log`]: leveled JSONL structured logger on stderr, filtered by
@@ -23,13 +22,11 @@ pub mod log;
 mod metrics;
 pub mod prom;
 mod registry;
-mod span;
 
 pub use histogram::{Histogram, HistogramSummary};
 pub use log::Level;
 pub use metrics::{Counter, Gauge};
 pub use registry::{MetricKind, Registry};
-pub use span::Span;
 
 /// Global record-enable switch. `true` at startup.
 static ENABLED: AtomicBool = AtomicBool::new(true);
