@@ -9,10 +9,11 @@ use crate::report::Report;
 use crate::spec::ExperimentSpec;
 use perfvec::compose::program_representation;
 use perfvec::finetune::{learn_march_reps, FinetuneConfig};
-use perfvec::foundation::ArchSpec;
+use perfvec::foundation::{ArchSpec, Foundation};
 use perfvec::predict::evaluate_program;
 use perfvec::refit::{accumulate_normal_equations, solve_table};
 use perfvec::trainer::TrainConfig;
+use perfvec::MarchTable;
 use perfvec_json::{obj, Json};
 use perfvec_ml::mlp::Mlp;
 use perfvec_ml::schedule::StepDecay;
@@ -22,23 +23,15 @@ use perfvec_trace::features::{BRANCH_FEATURES, MEM_FEATURES};
 use perfvec_trace::ProgramData;
 use perfvec_workloads::{suite, training_suite, SuiteRole, Workload};
 
-fn eval_unseen_programs(
-    trained: &perfvec::trainer::TrainedFoundation,
-    test: &[ProgramData],
-) -> f64 {
+/// Mean error of `foundation` with `table` over `test`, every program
+/// treated as unseen.
+fn eval_unseen_programs(foundation: &Foundation, table: &MarchTable, test: &[ProgramData]) -> f64 {
     let rows: Vec<_> = test
         .iter()
         .map(|d| {
-            let rp = program_representation(&trained.foundation, &d.features);
+            let rp = program_representation(foundation, &d.features);
             let truths: Vec<f64> = (0..d.num_marches()).map(|j| d.total_time(j)).collect();
-            evaluate_program(
-                &d.name,
-                false,
-                &rp,
-                &trained.foundation,
-                &trained.march_table,
-                &truths,
-            )
+            evaluate_program(&d.name, false, &rp, foundation, table, &truths)
         })
         .collect();
     subset_mean(&rows, false)
@@ -72,7 +65,7 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
             .map(|d| d.truncated(d.len() * pct / 100))
             .collect();
         let trained = crate::pipeline::train(&subset, &cfg)?;
-        let err = eval_unseen_programs(&trained, &data.test);
+        let err = eval_unseen_programs(&trained.foundation, &trained.march_table, &data.test);
         perfvec_obs::info!(
             "ablations",
             "[ablation_data] {pct:>3}% of instructions -> unseen error {:.1}%",
@@ -124,29 +117,20 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
             .collect();
         let trained = crate::pipeline::train(&subset, &cfg)?;
         // unseen programs, seen machines
-        let prog_err = eval_unseen_programs(&trained, &{
-            data.test
-                .iter()
-                .map(|d| d.with_march_subset(&keep))
-                .collect::<Vec<_>>()
-        });
+        let test_seen_m: Vec<ProgramData> = data
+            .test
+            .iter()
+            .map(|d| d.with_march_subset(&keep))
+            .collect();
+        let prog_err =
+            eval_unseen_programs(&trained.foundation, &trained.march_table, &test_seen_m);
         // unseen machines: fine-tune reps, evaluate unseen programs
         let (ft_table, _) = learn_march_reps(
             &trained.foundation,
             &tuning_full,
             &FinetuneConfig::default(),
         );
-        let march_err = {
-            let rows: Vec<_> = test_unseen_m
-                .iter()
-                .map(|d| {
-                    let rp = program_representation(&trained.foundation, &d.features);
-                    let truths: Vec<f64> = (0..d.num_marches()).map(|j| d.total_time(j)).collect();
-                    evaluate_program(&d.name, false, &rp, &trained.foundation, &ft_table, &truths)
-                })
-                .collect();
-            subset_mean(&rows, false)
-        };
+        let march_err = eval_unseen_programs(&trained.foundation, &ft_table, &test_unseen_m);
         perfvec_obs::info!(
             "ablations",
             "[ablation_data] {k} machines -> unseen-program {:.1}%, unseen-march {:.1}%",
@@ -219,32 +203,13 @@ pub fn ablation_features(spec: &ExperimentSpec, report: &mut Report) -> Result<(
     cfg.epochs /= 2;
     cfg.windows_per_epoch /= 2;
 
-    let eval = |trained: &perfvec::trainer::TrainedFoundation, test: &[ProgramData]| -> f64 {
-        let rows: Vec<_> = test
-            .iter()
-            .map(|d| {
-                let rp = program_representation(&trained.foundation, &d.features);
-                let truths: Vec<f64> = (0..d.num_marches()).map(|j| d.total_time(j)).collect();
-                evaluate_program(
-                    &d.name,
-                    false,
-                    &rp,
-                    &trained.foundation,
-                    &trained.march_table,
-                    &truths,
-                )
-            })
-            .collect();
-        subset_mean(&rows, false)
-    };
-
     perfvec_obs::info!(
         "ablations",
         "[ablation_features] training with all 51 features..."
     );
     let t_full = std::time::Instant::now();
     let full = crate::pipeline::train(&data.train, &cfg)?;
-    let full_err = eval(&full, &data.test);
+    let full_err = eval_unseen_programs(&full.foundation, &full.march_table, &data.test);
     perfvec_obs::info!("ablations", 
         "[ablation_features] full-feature model in {:.1}s; training without memory/branch features...",
         t_full.elapsed().as_secs_f64()
@@ -254,7 +219,7 @@ pub fn ablation_features(spec: &ExperimentSpec, report: &mut Report) -> Result<(
     let masked_train: Vec<ProgramData> = data.train.iter().map(masked).collect();
     let masked_test: Vec<ProgramData> = data.test.iter().map(masked).collect();
     let ablated = crate::pipeline::train(&masked_train, &cfg)?;
-    let ablated_err = eval(&ablated, &masked_test);
+    let ablated_err = eval_unseen_programs(&ablated.foundation, &ablated.march_table, &masked_test);
     report.phase("masked_train", t_masked.elapsed().as_secs_f64());
 
     println!(

@@ -514,8 +514,7 @@ fn resume_smoke(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunErr
 
     let mut phase1 = cfg.clone();
     phase1.epochs = 2;
-    phase1.snapshot_every = Some(2);
-    phase1.snapshot_path = Some(snap.clone());
+    phase1.snapshot = Some((2, snap.clone()));
     crate::pipeline::train(&data, &phase1)?;
 
     let mut phase2 = cfg.clone();

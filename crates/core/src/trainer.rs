@@ -33,7 +33,7 @@
 //! validation loss would otherwise never beat the best one and silently
 //! freeze a stale model, and a non-finite gradient is never applied.
 //!
-//! Long runs snapshot-and-resume: `TrainConfig::snapshot_every` writes a
+//! Long runs snapshot-and-resume: `TrainConfig::snapshot` writes a
 //! [`crate::checkpoint::TrainSnapshot`] (model + table + Adam moments +
 //! RNG state) at an epoch cadence, and `TrainConfig::resume_from`
 //! restarts from one bit-identically.
@@ -84,12 +84,9 @@ pub struct TrainConfig {
     /// batched is faster. The naive (`reuse = false`) ablation always
     /// uses the scalar step.
     pub batched: bool,
-    /// Write a resumable epoch snapshot to [`TrainConfig::snapshot_path`]
-    /// every N epochs (`None` disables).
-    pub snapshot_every: Option<u32>,
-    /// Destination for epoch snapshots (required when
-    /// [`TrainConfig::snapshot_every`] is set).
-    pub snapshot_path: Option<std::path::PathBuf>,
+    /// `(every, path)`: write a resumable epoch snapshot to `path`
+    /// every `every` epochs (`None` disables).
+    pub snapshot: Option<(u32, std::path::PathBuf)>,
     /// Resume a run from a snapshot written by a previous invocation
     /// with the same data, architecture, and hyperparameters; the
     /// resumed run continues bit-identically.
@@ -120,8 +117,7 @@ impl Default for TrainConfig {
             target_scale: 1.0,
             clip_norm: Some(5.0),
             batched: true,
-            snapshot_every: None,
-            snapshot_path: None,
+            snapshot: None,
             resume_from: None,
         }
     }
@@ -216,7 +212,7 @@ fn window_pass(
             axpy(inv_k * err, &r, &mut g_table[j * dim..(j + 1) * dim]);
             axpy(inv_k * err, table.rep(j), &mut dr);
         }
-        foundation.model.backward(buf, w, &cache, &dr, g_model);
+        foundation.model.backward(buf, &cache, &dr, g_model);
     } else {
         // Naive: a full forward/backward per microarchitecture.
         for j in 0..k {
@@ -227,7 +223,7 @@ fn window_pass(
             axpy(inv_k * err, &r, &mut g_table[j * dim..(j + 1) * dim]);
             let mut dr = vec![0.0f32; dim];
             axpy(inv_k * err, table.rep(j), &mut dr);
-            foundation.model.backward(buf, w, &cache, &dr, g_model);
+            foundation.model.backward(buf, &cache, &dr, g_model);
         }
     }
     loss / k as f64
@@ -297,12 +293,6 @@ pub fn train_foundation(data: &[ProgramData], cfg: &TrainConfig) -> TrainedFound
     assert!(
         data.iter().all(|d| d.num_marches() == k),
         "inconsistent microarchitecture count"
-    );
-    // Fail a misconfigured snapshot setup before any epoch runs, not at
-    // the first snapshot boundary hours into a long run.
-    assert!(
-        cfg.snapshot_every.is_none() || cfg.snapshot_path.is_some(),
-        "snapshot_every requires snapshot_path"
     );
 
     let start = std::time::Instant::now();
@@ -480,12 +470,8 @@ pub fn train_foundation(data: &[ProgramData], cfg: &TrainConfig) -> TrainedFound
 
         // Epoch snapshot (end-of-epoch state: next run continues at
         // `epoch + 1` with the RNG exactly where it stands now).
-        if let Some(every) = cfg.snapshot_every {
-            if every > 0 && (epoch + 1) % every == 0 {
-                let path = cfg
-                    .snapshot_path
-                    .as_ref()
-                    .expect("snapshot_every requires snapshot_path");
+        if let Some((every, path)) = &cfg.snapshot {
+            if *every > 0 && (epoch + 1) % every == 0 {
                 let (m, v, t) = opt.state();
                 let mut snap_foundation =
                     Foundation::new(cfg.arch, cfg.context, cfg.target_scale, 0);
@@ -965,8 +951,7 @@ mod tests {
         // Phase 1: stop after 2 epochs, snapshotting every 2.
         let mut phase1 = straight_cfg.clone();
         phase1.epochs = 2;
-        phase1.snapshot_every = Some(2);
-        phase1.snapshot_path = Some(snap_path.clone());
+        phase1.snapshot = Some((2, snap_path.clone()));
         train_foundation(&data, &phase1);
 
         // Phase 2: resume to the full 4 epochs.

@@ -8,10 +8,9 @@
 use crate::op::OpClass;
 use crate::program::Program;
 use crate::{CODE_BASE, INST_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// One executed instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynInst {
     /// Static instruction index into [`Program::insts`].
     pub sidx: u32,
@@ -41,7 +40,7 @@ impl DynInst {
 }
 
 /// A dynamic execution trace plus the program it came from.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     /// The executed program (shared so the static instruction for any
     /// record is one index away).

@@ -2,7 +2,6 @@
 
 use crate::op::Op;
 use crate::reg::Reg;
-use serde::{Deserialize, Serialize};
 
 /// Maximum number of source register operands an instruction may name.
 ///
@@ -16,7 +15,7 @@ pub const MAX_DST: usize = 6;
 
 /// Memory operand: effective address is
 /// `regs[base] + regs[index] * scale + offset`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRef {
     /// Base address register.
     pub base: Reg,
@@ -59,7 +58,7 @@ impl MemRef {
 ///
 /// Operand slots are fixed-size arrays so that `Inst` is `Copy` and the
 /// static program is stored contiguously.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Inst {
     /// Opcode.
     pub op: Op,

@@ -4,10 +4,8 @@
 //! execution-resource class the timing simulator schedules on (which
 //! functional-unit pool an instruction occupies, and for how long).
 
-use serde::{Deserialize, Serialize};
-
 /// Operation codes of the ISA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     // --- integer ALU ---
     /// `dst = src0 + src1` (or `src0 + imm`).
@@ -118,7 +116,7 @@ pub enum Op {
 
 /// Coarse execution-resource class, used by the timing simulator to pick
 /// a functional-unit pool and an execution latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum OpClass {
     /// Simple integer ops (add/logic/shift/compare/moves).

@@ -8,10 +8,9 @@ use crate::inst::{Inst, MemRef};
 use crate::op::Op;
 use crate::reg::Reg;
 use crate::{CODE_BASE, DATA_BASE, INST_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// An initialized region of the data segment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataSegment {
     /// Starting virtual address.
     pub addr: u64,
@@ -20,7 +19,7 @@ pub struct DataSegment {
 }
 
 /// A complete program: code, initialized data, and an entry point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Program {
     /// Human-readable program name (used in reports).
     pub name: String,

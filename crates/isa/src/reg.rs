@@ -5,14 +5,12 @@
 //! convention), 32 scalar floating-point registers (`f0`..`f31`), and 16
 //! 128-bit SIMD registers (`v0`..`v15`, four `f32` lanes each).
 
-use serde::{Deserialize, Serialize};
-
 /// The register file a [`Reg`] belongs to.
 ///
 /// The numeric discriminants are stable: feature extraction encodes a
 /// register operand's *category* as this discriminant (with `0` reserved
 /// for "no operand in this slot").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum RegClass {
     /// 64-bit integer register.
@@ -34,7 +32,7 @@ impl RegClass {
 }
 
 /// An architectural register operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg {
     class: RegClass,
     index: u8,

@@ -1,5 +1,5 @@
-//! Typed conversion to and from [`Json`] — the workspace's stand-in
-//! for serde's `Serialize`/`Deserialize` at this scale.
+//! Typed conversion to and from [`Json`] for primitives, `String`,
+//! `Vec<T>` and `Option<T>`.
 //!
 //! [`ToJson`] is infallible; [`FromJson`] reports *semantic* mismatches
 //! (wrong type, lossy number, missing field) through [`ConvertError`],

@@ -1,8 +1,7 @@
 //! # perfvec-json
 //!
-//! The workspace's shared JSON layer. The vendored `serde` is
-//! marker-traits-only (no real serialization), so every JSON surface —
-//! the `perfvec-serve` wire protocol, the `perfvec` CLI's experiment
+//! The workspace's shared JSON layer. Every JSON surface — the
+//! `perfvec-serve` wire protocol, the `perfvec` CLI's experiment
 //! configs, and the harness's machine-readable experiment reports —
 //! goes through this hand-rolled, `std`-only implementation:
 //!
@@ -16,8 +15,7 @@
 //!   `Display`, so finite numbers survive a print/parse round trip
 //!   bit-exactly;
 //! * [`ToJson`] / [`FromJson`] — a small trait surface for typed
-//!   conversion (primitives, `String`, `Vec<T>`, `Option<T>`), the
-//!   stand-in for serde's `Serialize`/`Deserialize` at this scale.
+//!   conversion (primitives, `String`, `Vec<T>`, `Option<T>`).
 
 pub mod convert;
 pub mod parse;

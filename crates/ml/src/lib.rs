@@ -30,7 +30,7 @@
 //!     let mut dy = vec![0.0; 8];
 //!     mse_grad(&y, &target, &mut dy);
 //!     let mut grads = vec![0.0; model.num_params()];
-//!     model.backward(&xs, 3, &cache, &dy, &mut grads);
+//!     model.backward(&xs, &cache, &dy, &mut grads);
 //!     opt.step(&mut params, &grads, 1e-2);
 //!     model.set_params(&params);
 //! }

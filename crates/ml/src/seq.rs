@@ -274,14 +274,7 @@ impl SeqModel {
     }
 
     /// Backward; accumulates into `grads` (length [`Self::num_params`]).
-    pub fn backward(
-        &self,
-        xs: &[f32],
-        t: usize,
-        cache: &SeqCache,
-        dout: &[f32],
-        grads: &mut [f32],
-    ) {
+    pub fn backward(&self, xs: &[f32], cache: &SeqCache, dout: &[f32], grads: &mut [f32]) {
         match (self, cache) {
             (SeqModel::Linear { shape, params, .. }, SeqCache::Linear) => {
                 let mut dx = vec![0.0f32; shape.in_dim];
@@ -296,7 +289,6 @@ impl SeqModel {
             (SeqModel::Transformer(m), SeqCache::Transformer(c)) => m.backward(xs, c, dout, grads),
             _ => panic!("cache does not match model architecture"),
         }
-        let _ = t;
     }
 
     /// Batched forward over `batch` independent `t x in_dim` sequences.
@@ -542,7 +534,7 @@ mod tests {
         for m in all_models(in_dim, d, w) {
             let (_, cache) = m.forward(&xs, w);
             let mut grads = vec![0.0f32; m.num_params()];
-            m.backward(&xs, w, &cache, &dout, &mut grads);
+            m.backward(&xs, &cache, &dout, &mut grads);
             let nonzero = grads.iter().filter(|g| **g != 0.0).count();
             assert!(
                 nonzero > grads.len() / 10,

@@ -122,7 +122,7 @@ fn backward_batch_is_bit_identical_to_per_sequence_backward() {
                 for s in 0..batch {
                     let seq = &xs[s * t * in_dim..(s + 1) * t * in_dim];
                     let (_, cache) = m.forward(seq, t);
-                    m.backward(seq, t, &cache, &douts[s * d..(s + 1) * d], &mut g_ref);
+                    m.backward(seq, &cache, &douts[s * d..(s + 1) * d], &mut g_ref);
                 }
                 // Batched: one cached forward + one batch-major backward.
                 let (_, bcache) = m.forward_batch_cached(&xs, t, batch);
@@ -154,7 +154,7 @@ fn backward_batch_of_deeper_recurrent_stacks_stays_bit_identical() {
         for s in 0..batch {
             let seq = &xs[s * t * in_dim..(s + 1) * t * in_dim];
             let (_, cache) = m.forward(seq, t);
-            m.backward(seq, t, &cache, &douts[s * d..(s + 1) * d], &mut g_ref);
+            m.backward(seq, &cache, &douts[s * d..(s + 1) * d], &mut g_ref);
         }
         let (_, bcache) = m.forward_batch_cached(&xs, t, batch);
         let mut g_bat = vec![0.0f32; m.num_params()];
@@ -231,7 +231,7 @@ fn two_lane_halves_stay_bit_identical_to_per_sequence_passes() {
                     "{} sequence {s} of batch {batch}",
                     m.describe()
                 );
-                m.backward(seq, t, &cache, &douts[s * d..(s + 1) * d], &mut g_ref);
+                m.backward(seq, &cache, &douts[s * d..(s + 1) * d], &mut g_ref);
             }
             for (p, (a, b)) in g_ref.iter().zip(&g_bat).enumerate() {
                 assert_eq!(
@@ -469,7 +469,7 @@ fn sparse_inputs_stay_bit_identical_to_per_sequence_passes() {
                     "{} sequence {s} of batch {batch}",
                     m.describe()
                 );
-                m.backward(seq, t, &cache, &douts[s * d..(s + 1) * d], &mut g_ref);
+                m.backward(seq, &cache, &douts[s * d..(s + 1) * d], &mut g_ref);
             }
             for (p, (a, b)) in g_ref.iter().zip(&g_bat).enumerate() {
                 assert_eq!(

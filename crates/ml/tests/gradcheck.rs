@@ -40,7 +40,7 @@ fn finite_difference_check(mut model: SeqModel, t: usize, seed: u64) {
 
     let (_, cache) = model.forward(&xs, t);
     let mut grads = vec![0.0f32; model.num_params()];
-    model.backward(&xs, t, &cache, &dout, &mut grads);
+    model.backward(&xs, &cache, &dout, &mut grads);
 
     let loss = |m: &SeqModel| -> f64 {
         let (y, _) = m.forward(&xs, t);

@@ -1,6 +1,5 @@
 //! Named metric families with labels, rendered as Prometheus text.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -253,20 +252,6 @@ impl Registry {
                             cum
                         );
                     }
-                }
-            }
-        }
-        out
-    }
-
-    /// Counter totals as `name{labels} -> value`, for tests and stats.
-    pub fn counter_values(&self, name: &str) -> BTreeMap<String, u64> {
-        let fams = self.families.lock().expect("obs registry poisoned");
-        let mut out = BTreeMap::new();
-        if let Some(fam) = fams.iter().find(|f| f.name == name) {
-            for s in &fam.series {
-                if let Instrument::Counter(c) = &s.instrument {
-                    out.insert(render_labels(&s.labels, None), c.get());
                 }
             }
         }

@@ -357,12 +357,6 @@ impl Hierarchy {
         self.stats
     }
 
-    /// L1D hit latency in cycles (the in-order core's best-case load-use
-    /// latency).
-    pub fn l1d_latency(&self) -> u64 {
-        self.l1d_lat
-    }
-
     fn access_l2_then_mem(
         &mut self,
         addr: u64,

@@ -9,10 +9,9 @@
 
 use perfvec_isa::OpClass;
 use perfvec_trace::fingerprint::Fingerprint;
-use serde::{Deserialize, Serialize};
 
 /// Core execution paradigm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreKind {
     /// In-order scoreboarded pipeline.
     InOrder,
@@ -21,7 +20,7 @@ pub enum CoreKind {
 }
 
 /// Branch predictor family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorKind {
     /// Always predict not-taken.
     StaticNotTaken,
@@ -36,7 +35,7 @@ pub enum PredictorKind {
 }
 
 /// Branch prediction configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BranchConfig {
     /// Predictor family.
     pub kind: PredictorKind,
@@ -49,7 +48,7 @@ pub struct BranchConfig {
 }
 
 /// One cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Capacity in bytes.
     pub size_bytes: u64,
@@ -69,7 +68,7 @@ impl CacheConfig {
 }
 
 /// Main-memory technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemKind {
     /// Commodity DDR4.
     Ddr4,
@@ -82,7 +81,7 @@ pub enum MemKind {
 }
 
 /// Main-memory timing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemConfig {
     /// Technology (sets sensible defaults; kept for reporting).
     pub kind: MemKind,
@@ -111,7 +110,7 @@ impl MemConfig {
 
 /// Functional-unit pool configuration: per executing [`OpClass`], how
 /// many units exist, their latency, and whether they are pipelined.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FuPool {
     /// Number of units.
     pub count: u8,
@@ -123,7 +122,7 @@ pub struct FuPool {
 }
 
 /// Functional units for every executing operation class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FuConfig {
     /// Simple integer ops.
     pub int_alu: FuPool,
@@ -161,7 +160,7 @@ impl FuConfig {
 }
 
 /// A complete microarchitecture description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MicroArchConfig {
     /// Display name.
     pub name: String,

@@ -6,7 +6,7 @@ use crate::features::{Matrix, NUM_FEATURES};
 /// All learning data for one program: the `n x 51` feature matrix and an
 /// `n x k` target matrix of incremental latencies (0.1 ns) on `k`
 /// sampled microarchitectures.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProgramData {
     /// Program name (matches the workload suite).
     pub name: String,

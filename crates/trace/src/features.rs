@@ -48,7 +48,7 @@ pub enum FeatureMask {
 }
 
 /// A dense row-major `rows x cols` matrix of `f32` features/targets.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     /// Row count.
     pub rows: usize,
