@@ -37,7 +37,7 @@ use perfvec_trace::fingerprint::{program_fingerprint, Fingerprint};
 use perfvec_trace::ProgramData;
 use perfvec_workloads::Workload;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Version of the dataset-generation pipeline itself (emulator →
 /// feature extraction → simulator). The codec version only tracks the
@@ -250,25 +250,11 @@ impl DatasetCache {
         self.path_for_key(name, key)
     }
 
-    /// Atomically publish one dataset at `path`: write a unique
-    /// temporary sibling, then `rename` over the target, so concurrent
-    /// readers only ever see absent or complete entries.
+    /// Atomically publish one dataset at `path`: stream it into a
+    /// unique temporary sibling, then `rename` over the target, so
+    /// concurrent readers only ever see absent or complete entries.
     pub fn publish(&self, path: &Path, d: &ProgramData) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}.{seq}", std::process::id()));
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, binio::encode_program_data(d))?;
-        match std::fs::rename(&tmp, path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        write_atomically(path, |file| binio::write_program_data(file, d))
     }
 
     /// Load and validate one entry. Decode failures and shape/identity
@@ -277,8 +263,9 @@ impl DatasetCache {
     /// whose stored name is advisory (the key already pins the
     /// program's content, and the caller restores its display name).
     fn load(&self, path: &Path, expect_name: Option<&str>, num_marches: usize) -> LoadOutcome {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
+        let opened = std::fs::File::open(path).and_then(|f| Ok((f.metadata()?.len(), f)));
+        let (len, mut file) = match opened {
+            Ok(found) => found,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LoadOutcome::Absent,
             Err(e) => {
                 perfvec_obs::warn!(
@@ -289,7 +276,7 @@ impl DatasetCache {
                 return LoadOutcome::Corrupt;
             }
         };
-        match binio::decode_program_data(&bytes) {
+        match binio::read_program_data(&mut file, len) {
             Ok(d)
                 if expect_name.is_none_or(|n| d.name == n)
                     && d.features.cols == NUM_FEATURES
@@ -316,22 +303,78 @@ impl DatasetCache {
     }
 }
 
+/// Create `path` atomically: `write` fills a unique temporary sibling,
+/// which is then `rename`d over the target. On any failure after the
+/// temporary file exists — in `write` or in the rename — it is removed.
+fn write_atomically(
+    path: &Path,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}.{seq}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let mut file = std::fs::File::create(&tmp)?;
+    let written = write(&mut file);
+    drop(file);
+    let published = written.and_then(|()| std::fs::rename(&tmp, path));
+    if published.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    published
+}
+
+/// Run `job(k)` for every `k` in `0..n` on at most `workers` threads,
+/// each taking the next index as soon as its previous job finishes, and
+/// return the results in index order. With one worker (or one core)
+/// the jobs run in order on the calling thread, which keeps its own
+/// nested parallelism; spawned workers run nested parallel regions
+/// sequentially (see `perfvec_ml::parallel::in_parallel_worker`).
+fn bounded_queue<T: Send>(
+    n: usize,
+    workers: usize,
+    job: impl Fn(usize) -> T + Sync + Send,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = parallel_map(workers.clamp(1, n.max(1)), |_| {
+        let mut mine = Vec::new();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= n {
+                return mine;
+            }
+            mine.push((k, job(k)));
+        }
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    done.sort_unstable_by_key(|&(k, _)| k);
+    done.into_iter().map(|(_, t)| t).collect()
+}
+
 /// Fetch-or-generate datasets for `workloads` on `configs`, preserving
 /// workload order. `plan` decides how misses are scheduled (see
 /// [`ShardPlan`]); it never changes the produced bytes.
 ///
-/// Hits load through the binio codec; misses re-run the emulate →
-/// extract → simulate pipeline and publish the result atomically. With
-/// at least `plan.min_parallel_misses` misses, generation parallelizes
-/// *per program* (the nested per-machine parallelism inside
-/// [`build_program_data`] then degrades to sequential via the vendored
-/// rayon's worker guard, which also parallelizes trace emulation and
-/// feature extraction — previously serialized across programs), in
-/// index-ordered waves of at most `plan.max_in_flight` programs so
-/// peak memory stays within the plan's budget; with few misses it
-/// stays per-machine, which saturates the cores on a single program.
-/// Each wave publishes before the next starts, so even a run killed
-/// mid-generation leaves the completed waves cached.
+/// Every workload's entry is looked up and, when present, streamed in
+/// through the binio codec, all in one `parallel_map`; the stats are
+/// then counted in workload order. Misses re-run the emulate → extract
+/// → simulate pipeline, and each is published atomically by the worker
+/// that generated it, as soon as it is done. With at least
+/// `plan.min_parallel_misses` misses, generation parallelizes *per
+/// program*: up to `plan.max_in_flight` workers each take the next miss
+/// as soon as their last one is published, so no more than that many
+/// programs are ever in generation and no core waits for a slower
+/// program to finish (the nested per-machine parallelism inside
+/// [`build_program_data`] runs sequentially inside a worker). With
+/// fewer misses, programs are generated one at a time, each with
+/// per-machine parallelism, which saturates the cores on a single
+/// program. Either way a run killed mid-generation leaves every
+/// finished program cached.
 pub fn workload_datasets(
     cache: &DatasetCache,
     workloads: &[Workload],
@@ -340,47 +383,42 @@ pub fn workload_datasets(
     mask: FeatureMask,
     plan: ShardPlan,
 ) -> (Vec<ProgramData>, CacheStats) {
+    let looked_up = parallel_map(workloads.len(), |i| {
+        let w = &workloads[i];
+        let key = DatasetCache::workload_key(w, trace_len, configs, mask);
+        // External entries are pinned by content, not name: the file
+        // stem is fixed and the stored name is advisory, so renaming a
+        // `.pasm` file still hits (the display name is restored below).
+        let expect_name = match w.external_program() {
+            Some(_) => None,
+            None => Some(w.name.as_str()),
+        };
+        let path = cache.path_for_key(expect_name.unwrap_or("external"), key);
+        let found = path
+            .as_ref()
+            .map(|p| cache.load(p, expect_name, configs.len()));
+        (path, found)
+    });
+
     let mut stats = CacheStats {
         enabled: cache.is_enabled(),
         ..CacheStats::default()
     };
     let mut slots: Vec<Option<ProgramData>> = Vec::with_capacity(workloads.len());
     let mut paths: Vec<Option<PathBuf>> = Vec::with_capacity(workloads.len());
-    for w in workloads {
-        let key = DatasetCache::workload_key(w, trace_len, configs, mask);
-        // External entries are pinned by content, not name: the file
-        // stem is fixed and the stored name is advisory, so renaming a
-        // `.pasm` file still hits (the display name is restored below).
-        let external = w.external_program().is_some();
-        let stem = if external {
-            "external"
-        } else {
-            w.name.as_str()
-        };
-        let path = cache.path_for_key(stem, key);
-        let expect_name = if external {
-            None
-        } else {
-            Some(w.name.as_str())
-        };
-        let slot = match &path {
-            Some(p) => match cache.load(p, expect_name, configs.len()) {
-                LoadOutcome::Hit(mut d) => {
-                    stats.hits += 1;
-                    d.name = w.name.clone();
-                    Some(*d)
-                }
-                LoadOutcome::Absent => {
-                    stats.misses += 1;
-                    None
-                }
-                LoadOutcome::Corrupt => {
-                    stats.misses += 1;
-                    stats.recovered += 1;
-                    None
-                }
-            },
-            None => {
+    for (w, (path, found)) in workloads.iter().zip(looked_up) {
+        let slot = match found {
+            Some(LoadOutcome::Hit(mut d)) => {
+                stats.hits += 1;
+                d.name = w.name.clone();
+                Some(*d)
+            }
+            Some(LoadOutcome::Corrupt) => {
+                stats.misses += 1;
+                stats.recovered += 1;
+                None
+            }
+            Some(LoadOutcome::Absent) | None => {
                 stats.misses += 1;
                 None
             }
@@ -395,44 +433,26 @@ pub fn workload_datasets(
         .filter(|(_, s)| s.is_none())
         .map(|(i, _)| i)
         .collect();
-    if miss_idx.is_empty() {
-        return (
-            slots.into_iter().map(|s| s.expect("all hits")).collect(),
-            stats,
-        );
-    }
-
-    let generate = |i: usize| -> ProgramData {
-        let w = &workloads[i];
-        let trace = w.trace(trace_len);
-        build_program_data(&w.name, &trace, configs, mask)
-    };
-    let go_parallel = miss_idx.len() >= plan.min_parallel_misses.max(2);
-    let wave_size = if go_parallel {
-        plan.max_in_flight.max(1)
+    let workers = if miss_idx.len() >= plan.min_parallel_misses.max(2) {
+        plan.max_in_flight
     } else {
         1
     };
-    for wave in miss_idx.chunks(wave_size) {
-        let generated: Vec<ProgramData> = if go_parallel && wave.len() > 1 {
-            parallel_map(wave.len(), |k| generate(wave[k]))
-        } else {
-            wave.iter().map(|&i| generate(i)).collect()
-        };
-        for (&i, d) in wave.iter().zip(generated) {
-            if let Some(path) = &paths[i] {
-                // Best effort: a full disk or read-only cache dir costs
-                // the speedup, never the run.
-                if let Err(e) = cache.publish(path, &d) {
-                    perfvec_obs::warn!(
-                        "cache",
-                        "[cache] failed to publish {}: {e}",
-                        path.display()
-                    );
-                }
+    let generated = bounded_queue(miss_idx.len(), workers, |k| {
+        let i = miss_idx[k];
+        let w = &workloads[i];
+        let d = build_program_data(&w.name, &w.trace(trace_len), configs, mask);
+        if let Some(path) = &paths[i] {
+            // Best effort: a full disk or read-only cache dir costs
+            // the speedup, never the run.
+            if let Err(e) = cache.publish(path, &d) {
+                perfvec_obs::warn!("cache", "[cache] failed to publish {}: {e}", path.display());
             }
-            slots[i] = Some(d);
         }
+        d
+    });
+    for (&i, d) in miss_idx.iter().zip(generated) {
+        slots[i] = Some(d);
     }
     (
         slots.into_iter().map(|s| s.expect("filled")).collect(),
@@ -484,6 +504,48 @@ mod tests {
         assert!(c
             .entry_path("x", 10, &predefined_configs(), FeatureMask::Full)
             .is_none());
+    }
+
+    #[test]
+    fn a_failed_write_leaves_no_temporary_file() {
+        let root =
+            std::env::temp_dir().join(format!("perfvec-publish-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let path = root.join("entry.pvd");
+        let leftovers = || std::fs::read_dir(&root).unwrap().count();
+        // The write fails after the temporary file exists.
+        let err = write_atomically(&path, |f| {
+            use std::io::Write;
+            f.write_all(b"half an entry")?;
+            Err(std::io::Error::other("disk full"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(leftovers(), 0);
+        // The rename fails: the target is a non-empty directory.
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        assert!(write_atomically(&path, |_| Ok(())).is_err());
+        assert_eq!(leftovers(), 1, "only the directory in the way remains");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn bounded_queue_keeps_order_and_the_in_flight_bound() {
+        use std::sync::atomic::AtomicUsize;
+        for workers in [1, 2, 3, 8] {
+            let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let out = bounded_queue(11, workers, |k| {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                // Unequal job lengths, so workers drift apart.
+                std::thread::sleep(std::time::Duration::from_millis((k % 3) as u64 * 2));
+                running.fetch_sub(1, Ordering::SeqCst);
+                k * k
+            });
+            assert_eq!(out, (0..11).map(|k| k * k).collect::<Vec<_>>());
+            assert!(peak.into_inner() <= workers, "{workers} workers");
+        }
+        assert!(bounded_queue(0, 2, |k| k).is_empty());
     }
 
     #[test]

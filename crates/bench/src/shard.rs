@@ -8,17 +8,17 @@
 //! generated in flight at once. [`ShardPlan::auto`] sizes both from the
 //! detected cores and available memory.
 //!
-//! Plans only change *scheduling*. Generation runs through the vendored
-//! rayon's ordered `parallel_map` in index order, wave by wave, so the
-//! produced datasets are byte-identical for every plan and core count —
-//! pinned by the `shard_determinism` integration test.
+//! Plans only change *scheduling*. Up to `max_in_flight` workers take
+//! the misses in index order, each starting the next program as soon as
+//! its last one is published, and every result lands in its workload's
+//! slot, so the produced datasets are byte-identical for every plan and
+//! core count — pinned by the `shard_determinism` integration test.
 
 use perfvec_trace::features::NUM_FEATURES;
 
 /// Bytes per trace record we budget for during generation: `f32`
 /// features plus one `f32` target per machine, times a safety factor
-/// for the emulator trace, transient simulator state, and codec
-/// buffers held while publishing.
+/// for the emulator trace and transient simulator state.
 const BYTES_SAFETY_FACTOR: u64 = 3;
 
 /// Fraction of detected available memory the generator may occupy
@@ -34,8 +34,8 @@ pub struct ShardPlan {
     /// program at a time (which already saturates cores on one
     /// program).
     pub min_parallel_misses: usize,
-    /// Upper bound on programs generated concurrently: misses are
-    /// processed in waves of this size, in index order.
+    /// At most this many programs are in generation at once; the next
+    /// miss starts as soon as one finishes.
     pub max_in_flight: usize,
 }
 
@@ -43,10 +43,10 @@ impl ShardPlan {
     /// The schedule for a fetch of `num_configs` machines at
     /// `trace_len` instructions on this host: fan out across programs
     /// once at least as many programs miss as there are cores (fewer
-    /// stay per-machine parallel inside one program at a time), in
-    /// waves bounded by detected available memory (each program's
-    /// dataset estimated from `trace_len` and `num_configs`) and by the
-    /// core count.
+    /// stay per-machine parallel inside one program at a time), with
+    /// the programs in flight bounded by detected available memory
+    /// (each program's dataset estimated from `trace_len` and
+    /// `num_configs`) and by the core count.
     pub fn auto(trace_len: u64, num_configs: usize) -> ShardPlan {
         Self::auto_for(
             trace_len,

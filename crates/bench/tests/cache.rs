@@ -143,6 +143,71 @@ fn corrupt_and_truncated_entries_are_regenerated_with_identical_results() {
 }
 
 #[test]
+fn a_mix_of_hits_and_bad_entries_counts_and_loads_the_same_under_every_plan() {
+    let (workloads, trace_len, configs) = small_inputs();
+    let root = test_root("mix");
+    let cache = DatasetCache::at(&root);
+    let fetch = |plan: ShardPlan| {
+        workload_datasets(
+            &cache,
+            &workloads,
+            trace_len,
+            &configs,
+            FeatureMask::Full,
+            plan,
+        )
+    };
+    let sequential = ShardPlan {
+        min_parallel_misses: usize::MAX,
+        max_in_flight: 1,
+    };
+    let (original, _) = fetch(sequential);
+    let path = |i: usize| {
+        cache
+            .entry_path(&workloads[i].name, trace_len, &configs, FeatureMask::Full)
+            .unwrap()
+    };
+    // Entry 0 absent, 1 truncated, 2 with a garbage header (its payload
+    // intact), the rest hits.
+    let vandalize = || {
+        std::fs::remove_file(path(0)).unwrap();
+        let bytes = std::fs::read(path(1)).unwrap();
+        std::fs::write(path(1), &bytes[..bytes.len() - 9]).unwrap();
+        let mut bytes = std::fs::read(path(2)).unwrap();
+        bytes[..4].copy_from_slice(b"JUNK");
+        std::fs::write(path(2), bytes).unwrap();
+    };
+
+    for plan in [
+        sequential,
+        ShardPlan {
+            min_parallel_misses: 2,
+            max_in_flight: 2,
+        },
+        ShardPlan {
+            min_parallel_misses: 2,
+            max_in_flight: 3,
+        },
+        ShardPlan::auto(trace_len, configs.len()),
+    ] {
+        vandalize();
+        let (got, s) = fetch(plan);
+        assert_eq!(
+            (s.hits, s.misses, s.recovered),
+            (workloads.len() - 3, 3, 2),
+            "{plan:?}"
+        );
+        for (g, o) in got.iter().zip(&original) {
+            assert_same(g, o);
+        }
+        // Every bad entry was republished.
+        let (_, s) = fetch(plan);
+        assert_eq!((s.hits, s.misses), (workloads.len(), 0), "{plan:?}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn changing_any_key_ingredient_misses_instead_of_serving_stale_data() {
     let (workloads, trace_len, configs) = small_inputs();
     let few: Vec<Workload> = workloads.into_iter().take(2).collect();

@@ -70,7 +70,7 @@ impl SuiteData {
 /// machines and each machine runs over that one buffer. Chunks of
 /// distinct microarchitectures are independent and run in parallel when
 /// this is the outermost parallel region; inside a program-parallel
-/// generation wave (where nested parallelism degrades to sequential)
+/// generation worker (where nested parallelism degrades to sequential)
 /// the whole column runs as one chunk. Per-cell results are
 /// bit-identical either way, so chunking never affects dataset contents
 /// or cache keys.

@@ -253,10 +253,13 @@ proptest! {
     }
 
     /// Dataset binary round-trip is lossless for arbitrary shapes and
-    /// payloads, including empty matrices and non-ASCII names.
+    /// payloads, including empty matrices, non-ASCII names and payloads
+    /// that span several stream chunks; the streamed writer emits
+    /// exactly the encoder's bytes and the streamed reader reads them
+    /// back.
     #[test]
     fn binio_roundtrip_is_lossless(
-        rows in 0usize..20,
+        rows in 0usize..1_500,
         k in 0usize..6,
         fill in 0.0f32..10.0,
         name_len in 0usize..12,
@@ -271,7 +274,16 @@ proptest! {
         }
         let name: String = "π505.mcf".chars().cycle().take(name_len).collect();
         let d = ProgramData { name, features, targets };
-        let decoded = binio::decode_program_data(&binio::encode_program_data(&d)).unwrap();
+        let encoded = binio::encode_program_data(&d);
+        let mut streamed = Vec::new();
+        binio::write_program_data(&mut streamed, &d).unwrap();
+        prop_assert!(streamed == encoded, "streamed writer differs from encode");
+        let mut input = streamed.as_slice();
+        let read = binio::read_program_data(&mut input, streamed.len() as u64).unwrap();
+        let decoded = binio::decode_program_data(&encoded).unwrap();
+        prop_assert_eq!(&read.name, &d.name);
+        prop_assert_eq!(&read.features, &d.features);
+        prop_assert_eq!(&read.targets, &d.targets);
         prop_assert_eq!(decoded.name, d.name);
         prop_assert_eq!(decoded.features, d.features);
         prop_assert_eq!(decoded.targets, d.targets);
