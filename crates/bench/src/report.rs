@@ -22,9 +22,17 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// An experiment report under construction: experiments record
 /// metrics, phase timings, and cache stats as they go; [`Report::to_json`]
 /// assembles the final document.
+///
+/// Phases partition the run: `Report::lap` closes the current phase at
+/// each boundary, and [`Report::phase`] carves work it timed itself out
+/// of the enclosing lap, so the phases sum to at most the wall time.
 #[derive(Debug)]
 pub struct Report {
     started: Instant,
+    /// Where the current lap began.
+    lap_start: Instant,
+    /// Seconds recorded by [`Report::phase`] since `lap_start`.
+    carved: f64,
     phases: Vec<(String, f64)>,
     metrics: Vec<(String, Json)>,
     cache: CacheStats,
@@ -44,24 +52,40 @@ impl Default for Report {
 impl Report {
     /// An empty report whose wall clock starts now.
     pub fn new() -> Report {
+        let started = Instant::now();
         Report {
-            started: Instant::now(),
+            started,
+            lap_start: started,
+            carved: 0.0,
             phases: Vec::new(),
             metrics: Vec::new(),
-            cache: CacheStats {
-                hits: 0,
-                misses: 0,
-                recovered: 0,
-                enabled: true,
-            },
+            cache: CacheStats::default(),
             git: git_revision(),
             wall_seconds: None,
         }
     }
 
-    /// Record one phase's wall time (seconds). Repeated names
-    /// accumulate.
+    /// Close the current phase: record under `name` the wall time
+    /// since the previous lap (or since the report started), minus any
+    /// [`Report::phase`] recorded inside that span, and return those
+    /// seconds. Repeated names accumulate.
+    pub(crate) fn lap(&mut self, name: &str) -> f64 {
+        let now = Instant::now();
+        let secs = ((now - self.lap_start).as_secs_f64() - self.carved).max(0.0);
+        self.lap_start = now;
+        self.carved = 0.0;
+        self.add(name, secs);
+        secs
+    }
+
+    /// Record `secs` of work timed inside the current lap under `name`;
+    /// that time leaves the enclosing lap. Repeated names accumulate.
     pub fn phase(&mut self, name: &str, secs: f64) {
+        self.carved += secs;
+        self.add(name, secs);
+    }
+
+    fn add(&mut self, name: &str, secs: f64) {
         if let Some(slot) = self.phases.iter_mut().find(|(n, _)| n == name) {
             slot.1 += secs;
         } else {
@@ -88,12 +112,32 @@ impl Report {
         self.cache.absorb(stats);
     }
 
+    /// Total wall seconds: [`Report::wall_seconds`] when pinned, else
+    /// the time since the report started.
+    pub(crate) fn elapsed(&self) -> f64 {
+        self.wall_seconds
+            .unwrap_or_else(|| self.started.elapsed().as_secs_f64())
+    }
+
+    /// The one human-readable timing line: total wall time, then each
+    /// phase in the order it was first recorded.
+    pub(crate) fn wall_time_line(&self) -> String {
+        let phases: Vec<String> = self
+            .phases
+            .iter()
+            .map(|(n, s)| format!("{n} {s:.1}s"))
+            .collect();
+        format!(
+            "total wall time {:.1}s ({})",
+            self.elapsed(),
+            phases.join(", ")
+        )
+    }
+
     /// Assemble the schema-versioned document (recursively sorted
     /// keys).
     pub fn to_json(&self, spec: &ExperimentSpec) -> Json {
-        let wall = self
-            .wall_seconds
-            .unwrap_or_else(|| self.started.elapsed().as_secs_f64());
+        let wall = self.elapsed();
         obj(vec![
             ("schema_version", SCHEMA_VERSION.to_json()),
             ("experiment", Json::Str(spec.kind.name().to_string())),
@@ -193,6 +237,19 @@ pub fn validate(v: &Json) -> Result<String, String> {
         .get("wall_seconds")
         .and_then(Json::as_f64)
         .ok_or("wall_seconds is not a number")?;
+    let mut sum = 0.0;
+    for (name, secs) in phases {
+        sum += secs
+            .as_f64()
+            .filter(|s| s.is_finite() && *s >= 0.0)
+            .ok_or_else(|| format!("phase {name:?} is not a finite, non-negative number"))?;
+    }
+    // Phases partition the run; 1 ms of slack absorbs clock rounding.
+    if sum > wall + 1e-3 {
+        return Err(format!(
+            "phases sum to {sum:.3}s, past wall_seconds {wall:.3}s"
+        ));
+    }
     Ok(format!(
         "valid report: experiment {experiment}, schema v{version}, {} metrics ({}), {} phases, {wall:.1}s wall",
         metrics.len(),
@@ -236,7 +293,7 @@ mod tests {
         let mut r = Report::new();
         // Pin the lazy wall clock: two renders of the same report must
         // be byte-identical in tests.
-        r.wall_seconds = Some(3.25);
+        r.wall_seconds = Some(4.25);
         r.phase("datasets", 1.5);
         r.phase("train", 2.0);
         r.phase("datasets", 0.5);
@@ -284,5 +341,56 @@ mod tests {
         assert!(validate(&v).unwrap_err().contains("metrics"));
         let bad = Json::parse(r#"{"schema_version": 99}"#).unwrap();
         assert!(validate(&bad).unwrap_err().contains("99"));
+
+        // Phases must be finite, non-negative seconds that fit inside
+        // the wall time (4.25 s in `sample`).
+        for (secs, want) in [
+            (Json::Num(-0.5), "train"),
+            (Json::Num(f64::INFINITY), "train"),
+            (Json::Num(f64::NAN), "train"),
+            (Json::Str("2".into()), "train"),
+            (Json::Num(2.5), "past wall_seconds"),
+        ] {
+            let mut v = r.to_json(&spec);
+            if let Json::Obj(fields) = &mut v {
+                let phases = &mut fields.iter_mut().find(|(k, _)| k == "phases").unwrap().1;
+                *phases = Json::Obj(vec![
+                    ("datasets".to_string(), Json::Num(2.0)),
+                    ("train".to_string(), secs),
+                ]);
+            }
+            let err = validate(&v).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_lap_excludes_carved_phases_and_the_phases_sum_to_the_elapsed_total() {
+        let nap = || std::thread::sleep(std::time::Duration::from_millis(10));
+        let mut r = Report::new();
+        nap();
+        let t = Instant::now();
+        nap();
+        let carved = t.elapsed().as_secs_f64();
+        r.phase("datasets", carved);
+        nap();
+        let train = r.lap("train");
+        let at_lap = (r.lap_start - r.started).as_secs_f64();
+        assert!(
+            (train - (at_lap - carved)).abs() < 1e-9,
+            "{train} {at_lap} {carved}"
+        );
+        assert!(train >= 0.02, "two naps outside the carve-out: {train}");
+        nap();
+        let eval = r.lap("eval");
+        assert!(eval >= 0.01, "{eval}");
+        let total = (r.lap_start - r.started).as_secs_f64();
+        let sum: f64 = r.phases.iter().map(|(_, s)| s).sum();
+        assert!(
+            (sum - total).abs() < 1e-9,
+            "phases {sum} vs elapsed {total}"
+        );
+        r.wall_seconds = Some(total);
+        validate(&r.to_json(&ExperimentSpec::new(ExperimentKind::Fig3))).unwrap();
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Each experiment's logic lives in a submodule function with the
 //! signature `fn(&ExperimentSpec, &mut Report) -> Result<(), RunError>`,
-//! recording metrics and phase timings into the [`Report`] as it prints
-//! its human-readable lines.
+//! recording metrics into the [`Report`] as it prints its
+//! human-readable lines. Experiments only name their phases
+//! (`Report::lap` at each boundary); the dataset stage times itself.
 
 use crate::cache::workload_datasets;
 use crate::pipeline::SuiteData;
@@ -66,6 +67,7 @@ pub fn run(spec: &ExperimentSpec) -> Result<Report, RunError> {
         ExperimentKind::SimBench => benches::sim_bench(spec, &mut report),
         ExperimentKind::ObsOverhead => benches::obs_overhead(spec, &mut report),
     }?;
+    println!("{}", report.wall_time_line());
     Ok(report)
 }
 
@@ -101,9 +103,10 @@ pub fn execute(spec: &ExperimentSpec) -> bool {
 /// The one dataset stage every experiment fetches through: datasets
 /// for `workloads` on `configs`, in workload order, from the spec's
 /// cache, generated on a miss under the [`ShardPlan::auto`] schedule
-/// for this fetch's trace length and machine count. The cache stats
-/// go into the report and one "datasets ready" line into the log;
-/// phase timing stays with the caller.
+/// for this fetch's trace length and machine count. The fetch time
+/// goes into the report's `datasets` phase (carved out of the
+/// caller's lap), the cache stats into the report, and one "datasets
+/// ready" line into the log.
 pub(crate) fn datasets(
     spec: &ExperimentSpec,
     report: &mut Report,
@@ -116,14 +119,15 @@ pub(crate) fn datasets(
     let plan = ShardPlan::auto(trace_len, configs.len());
     let cache = spec.dataset_cache();
     let (data, stats) = workload_datasets(&cache, workloads, trace_len, configs, mask, plan);
+    let secs = t.elapsed().as_secs_f64();
+    report.phase("datasets", secs);
     report.absorb_cache(stats);
     perfvec_obs::info!(
         "runner",
-        "[{}] {} programs x {} machines: datasets ready in {:.1}s ({})",
+        "[{}] {} programs x {} machines: datasets ready in {secs:.1}s ({})",
         spec.kind.name(),
         workloads.len(),
         configs.len(),
-        t.elapsed().as_secs_f64(),
         stats.summary()
     );
     data

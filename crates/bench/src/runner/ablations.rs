@@ -41,16 +41,13 @@ fn eval_unseen_programs(foundation: &Foundation, table: &MarchTable, test: &[Pro
 /// and microarchitecture-count sweeps.
 pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
-    let t0 = std::time::Instant::now();
     let trace_len = spec.trace_len_or(scale.trace_len() / 2);
     perfvec_obs::info!(
         "ablations",
         "[ablation_data] generating datasets ({trace_len} instrs/program)..."
     );
     let configs = spec.march_configs();
-    let t_data = std::time::Instant::now();
     let data = suite_datasets(spec, report, &configs, trace_len);
-    report.phase("datasets", t_data.elapsed().as_secs_f64());
     let mut cfg = scale.train_config();
     cfg.epochs /= 2;
     cfg.windows_per_epoch /= 2;
@@ -77,6 +74,7 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
             ("unseen_error", Json::Num(err)),
         ]));
     }
+    report.lap("volume_sweep");
     println!(
         "{}",
         bar_chart(
@@ -92,7 +90,6 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
         "ablations",
         "[ablation_data] microarchitecture-count sweep (20 vs 77)..."
     );
-    let t_sweep = std::time::Instant::now();
     let unseen_m = unseen_population(spec.seed);
     let tuning_workloads: Vec<Workload> = suite()
         .into_iter()
@@ -139,7 +136,7 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
         );
         table.push((k, prog_err, march_err));
     }
-    report.phase("march_count_sweep", t_sweep.elapsed().as_secs_f64());
+    report.lap("march_count_sweep");
     println!("== Microarchitecture-count ablation ==");
     println!(
         "{:>10} {:>22} {:>22}",
@@ -155,7 +152,6 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
         d_prog * 100.0,
         d_march * 100.0
     );
-    println!("total wall time {:.1}s", t0.elapsed().as_secs_f64());
     report.metric(
         "march_count_sweep",
         Json::Arr(
@@ -189,16 +185,12 @@ fn masked(d: &ProgramData) -> ProgramData {
 /// memory/branch-predictability features.
 pub fn ablation_features(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
-    let t0 = std::time::Instant::now();
     let trace_len = spec.trace_len_or(scale.trace_len() / 2);
     perfvec_obs::info!("ablations", "[ablation_features] generating datasets...");
     let configs = spec.march_configs();
-    let t_data = std::time::Instant::now();
     // The spec cannot set `features` for this kind, so these datasets
     // carry the full mask; the ablated copies are masked below.
     let data = suite_datasets(spec, report, &configs, trace_len);
-    let data_secs = t_data.elapsed().as_secs_f64();
-    report.phase("datasets", data_secs);
     let mut cfg = scale.train_config();
     cfg.epochs /= 2;
     cfg.windows_per_epoch /= 2;
@@ -207,20 +199,18 @@ pub fn ablation_features(spec: &ExperimentSpec, report: &mut Report) -> Result<(
         "ablations",
         "[ablation_features] training with all 51 features..."
     );
-    let t_full = std::time::Instant::now();
     let full = crate::pipeline::train(&data.train, &cfg)?;
     let full_err = eval_unseen_programs(&full.foundation, &full.march_table, &data.test);
-    perfvec_obs::info!("ablations", 
-        "[ablation_features] full-feature model in {:.1}s; training without memory/branch features...",
-        t_full.elapsed().as_secs_f64()
+    let full_secs = report.lap("full_train");
+    perfvec_obs::info!(
+        "ablations",
+        "[ablation_features] full-feature model in {full_secs:.1}s; training without memory/branch features..."
     );
-    report.phase("full_train", t_full.elapsed().as_secs_f64());
-    let t_masked = std::time::Instant::now();
     let masked_train: Vec<ProgramData> = data.train.iter().map(masked).collect();
     let masked_test: Vec<ProgramData> = data.test.iter().map(masked).collect();
     let ablated = crate::pipeline::train(&masked_train, &cfg)?;
     let ablated_err = eval_unseen_programs(&ablated.foundation, &ablated.march_table, &masked_test);
-    report.phase("masked_train", t_masked.elapsed().as_secs_f64());
+    report.lap("masked_train");
 
     println!(
         "{}",
@@ -239,7 +229,6 @@ pub fn ablation_features(spec: &ExperimentSpec, report: &mut Report) -> Result<(
         ablated_err * 100.0,
         ablated_err / full_err.max(1e-9)
     );
-    println!("total wall time {:.1}s", t0.elapsed().as_secs_f64());
     report.metric_f64("full_features_error", full_err);
     report.metric_f64("ablated_features_error", ablated_err);
     report.metric_f64("error_ratio", ablated_err / full_err.max(1e-9));
@@ -249,10 +238,8 @@ pub fn ablation_features(spec: &ExperimentSpec, report: &mut Report) -> Result<(
 /// **Section IV training-cost claims**: representation reuse and
 /// microarchitecture-sampling parameter counts.
 pub fn train_opt(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
-    let t0 = std::time::Instant::now();
     perfvec_obs::info!("ablations", "[train_opt] generating datasets...");
     let configs = spec.march_configs();
-    let t_data = std::time::Instant::now();
     let workloads: Vec<_> = training_suite().into_iter().take(3).collect();
     let trace_len = spec.trace_len_or(8_000);
     let data = datasets(
@@ -263,8 +250,6 @@ pub fn train_opt(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
         trace_len,
         spec.feature_mask,
     );
-    let data_secs = t_data.elapsed().as_secs_f64();
-    report.phase("datasets", data_secs);
 
     println!("== Representation reuse: one-epoch wall time vs sampled machines ==");
     println!(
@@ -308,7 +293,7 @@ pub fn train_opt(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
         ]));
     }
     report.metric("reuse_sweep", Json::Arr(reuse_rows));
-    report.phase("reuse_sweep", t0.elapsed().as_secs_f64() - data_secs);
+    report.lap("reuse_sweep");
 
     println!();
     println!("== Microarchitecture sampling: trainable parameter comparison ==");
@@ -339,7 +324,6 @@ pub fn train_opt(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
         "sampling trains {:.0}x fewer microarchitecture-side parameters than the hypothetical model",
         hypothetical as f64 / table_params as f64
     );
-    println!("total wall time {:.1}s", t0.elapsed().as_secs_f64());
     report.metric_f64("table_params", table_params as f64);
     report.metric_f64("hypothetical_model_params", hypothetical as f64);
     report.metric_f64("small_model_params", realistic as f64);
@@ -350,11 +334,10 @@ pub fn train_opt(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
 pub fn tune_ridge(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
     let configs = spec.march_configs();
-    let t_data = std::time::Instant::now();
     let data = suite_datasets(spec, report, &configs, spec.trace_len_or(scale.trace_len()));
-    report.phase("datasets", t_data.elapsed().as_secs_f64());
     let cfg = scale.train_config();
     let trained = crate::pipeline::train(&data.train, &cfg)?;
+    report.lap("train");
     perfvec_obs::info!(
         "ablations",
         "trained; accumulating normal equations + reps..."
@@ -405,6 +388,7 @@ pub fn tune_ridge(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunE
         subset_mean(&rows, true) * 100.0,
         subset_mean(&rows, false) * 100.0
     );
+    report.lap("ridge_sweep");
     report.metric("ridge_sweep", Json::Arr(ridge_rows));
     report.metric_f64("sgd_seen_error", subset_mean(&rows, true));
     report.metric_f64("sgd_unseen_error", subset_mean(&rows, false));

@@ -237,7 +237,6 @@ fn phase_json(r: &PhaseResult) -> Json {
 /// first arch.
 pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
-    let t0 = Instant::now();
     let (dim, context) = bench_scale_dims(scale);
     let batch = spec.param_usize("batch", 32)?;
     let default_workers = std::thread::available_parallelism()
@@ -279,13 +278,10 @@ pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
         marches: training_population(DEFAULT_MARCH_SEED).len(),
     });
 
-    let mut parity_secs = 0.0f64;
-    let mut measure_secs = 0.0f64;
     let mut arch_entries: Vec<(String, Json)> = Vec::new();
     for arch in &archs {
         let name = arch_name(arch.kind);
         // ---- parity gate ---------------------------------------------
-        let t_parity = Instant::now();
         let (registry, offline_foundation, offline_table) = bench_model(*arch, context);
         let model_desc = offline_foundation.describe();
         let handle = start(
@@ -343,7 +339,7 @@ pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
              (O(1) repeated queries)"
         );
         handle.shutdown();
-        parity_secs += t_parity.elapsed().as_secs_f64();
+        report.lap("parity_gate");
 
         // ---- batched vs unbatched, same worker count -----------------
         info!(
@@ -351,7 +347,6 @@ pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
             "[serve_bench] {name}: measuring {requests} unique uncached requests, \
              {conns} connections, {workers} workers, {model_desc}"
         );
-        let t_measure = Instant::now();
         let unbatched = run_phase(
             "unbatched",
             bench_model(*arch, context).0,
@@ -398,7 +393,7 @@ pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
             batched.mean_batch,
             batched.max_batch
         );
-        measure_secs += t_measure.elapsed().as_secs_f64();
+        report.lap("load_phases");
         let speedup = batched.throughput_rps / unbatched.throughput_rps;
         println!(
             "serve_bench[{name}]: micro-batching speedup {speedup:.2}x ({:.1} -> {:.1} req/s, \
@@ -437,8 +432,6 @@ pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
             )));
         }
     }
-    report.phase("parity_gate", parity_secs);
-    report.phase("load_phases", measure_secs);
 
     // ---- BENCH_serve.json --------------------------------------------
     // `archs` carries every swept architecture by name.
@@ -449,14 +442,10 @@ pub fn serve_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
         ("requests", Json::Num(requests as f64)),
         ("batch", Json::Num(batch as f64)),
         ("archs", Json::Obj(arch_entries)),
-        ("wall_seconds", Json::Num(t0.elapsed().as_secs_f64())),
+        ("wall_seconds", Json::Num(report.elapsed())),
     ]);
     std::fs::write("BENCH_serve.json", format!("{bench}\n")).expect("write BENCH_serve.json");
-    info!(
-        "serve_bench",
-        "[serve_bench] wrote BENCH_serve.json (total {:.1}s)",
-        t0.elapsed().as_secs_f64()
-    );
+    info!("serve_bench", "[serve_bench] wrote BENCH_serve.json");
     Ok(())
 }
 
@@ -536,6 +525,7 @@ fn resume_smoke(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunErr
             "[train_bench] RESUME FAILURE: loss history differs".into(),
         ));
     }
+    report.lap("resume_smoke");
     println!(
         "train_bench: resume ok — snapshot at epoch 2/4 resumes to a byte-identical checkpoint \
          ({} bytes)",
@@ -559,7 +549,6 @@ pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
     }
 
     let scale = spec.scale;
-    let t0 = Instant::now();
     let batch = spec.param_usize("batch", 32)?;
     let steps = spec.param_usize(
         "steps",
@@ -582,14 +571,11 @@ pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
     let data = bench_datasets(spec, report);
 
     let windows = steps * batch;
-    let mut parity_secs = 0.0f64;
-    let mut measure_secs = 0.0f64;
     let mut arch_entries: Vec<(String, Json)> = Vec::new();
     for arch in &archs {
         let name = arch_name(arch.kind);
         let model_desc = arch_desc(*arch, context);
         // ---- parity gate ---------------------------------------------
-        let t_parity = Instant::now();
         let mut parity_cfg = bench_config(*arch, context, 20);
         parity_cfg.epochs = 2;
         parity_cfg.windows_per_epoch = 200;
@@ -613,7 +599,7 @@ pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
              ({} bytes)",
             b_bytes.len()
         );
-        parity_secs += t_parity.elapsed().as_secs_f64();
+        report.lap("parity_gate");
 
         // ---- batched vs scalar steps/sec at equal seeds --------------
         let mut cfg = bench_config(*arch, context, batch);
@@ -625,7 +611,6 @@ pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
              {model_desc}, k={} machines",
             data[0].num_marches()
         );
-        let t_measure = Instant::now();
         let mut sps = [0.0f64; 2];
         // The trainer's own per-step obs histogram: count, mean, and
         // bit-pinned p50/p95/p99 step times in microseconds, plus its
@@ -650,7 +635,7 @@ pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
                 trained.report.step_time_us.p99
             );
         }
-        measure_secs += t_measure.elapsed().as_secs_f64();
+        report.lap("throughput");
         let speedup = sps[1] / sps[0];
         println!(
             "train_bench[{name}]: batch-major training speedup {speedup:.2}x ({:.1} -> {:.1} \
@@ -692,8 +677,6 @@ pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
             )));
         }
     }
-    report.phase("parity_gate", parity_secs);
-    report.phase("throughput", measure_secs);
 
     // ---- BENCH_train.json --------------------------------------------
     // `archs` carries every swept architecture by name.
@@ -704,14 +687,10 @@ pub fn train_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Run
         ("steps", Json::Num(steps as f64)),
         ("windows", Json::Num(windows as f64)),
         ("archs", Json::Obj(arch_entries)),
-        ("wall_seconds", Json::Num(t0.elapsed().as_secs_f64())),
+        ("wall_seconds", Json::Num(report.elapsed())),
     ]);
     std::fs::write("BENCH_train.json", format!("{bench}\n")).expect("write BENCH_train.json");
-    info!(
-        "train_bench",
-        "[train_bench] wrote BENCH_train.json (total {:.1}s)",
-        t0.elapsed().as_secs_f64()
-    );
+    info!("train_bench", "[train_bench] wrote BENCH_train.json");
     Ok(())
 }
 
@@ -755,7 +734,6 @@ fn sim_bench_configs(marches: usize) -> Vec<perfvec_sim::MicroArchConfig> {
 /// bit-for-bit against the reference.
 pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
-    let t0 = Instant::now();
     // Mirror the generation pipeline's trace lengths, so the measured
     // number is the cold-grid throughput dataset generation sees.
     let trace_len = spec.trace_len_or(scale.trace_len());
@@ -772,9 +750,8 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
         "[sim_bench] tracing {} workloads at {trace_len} instructions...",
         workloads.len()
     );
-    let t_traces = Instant::now();
     let traces: Vec<_> = workloads.iter().map(|w| w.trace(trace_len)).collect();
-    report.phase("traces", t_traces.elapsed().as_secs_f64());
+    report.lap("traces");
     let grid = traces.len() * configs.len();
     let sim_insts: u64 = traces.iter().map(|t| t.len() as u64).sum::<u64>() * configs.len() as u64;
 
@@ -817,7 +794,6 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
     // recorded outside the simulated state.
     let flat_cell_us = Histogram::new();
     let mut counters = perfvec_sim::SimStats::default();
-    let t_bench = Instant::now();
     for round in 0..rounds {
         for (wi, t) in traces.iter().enumerate() {
             // Round 0 also runs the workload's per-kind columns, kept
@@ -874,7 +850,7 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
             );
         }
     }
-    report.phase("bench", t_bench.elapsed().as_secs_f64());
+    report.lap("bench");
 
     // Sums of the per-cell bests, overall and split by core kind.
     let mut kind_secs = [[0.0f64; 2]; 2]; // [ooo, inorder] x [flat, ref]
@@ -954,14 +930,10 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
             Json::Num(column_metrics.cells_per_sec.get() as f64),
         ),
         ("counters", counters_json.clone()),
-        ("wall_seconds", Json::Num(t0.elapsed().as_secs_f64())),
+        ("wall_seconds", Json::Num(report.elapsed())),
     ]);
     std::fs::write("BENCH_sim.json", format!("{bench}\n")).expect("write BENCH_sim.json");
-    info!(
-        "sim_bench",
-        "[sim_bench] wrote BENCH_sim.json (total {:.1}s)",
-        t0.elapsed().as_secs_f64()
-    );
+    info!("sim_bench", "[sim_bench] wrote BENCH_sim.json");
     report.metric_f64("flat_minstr_per_sec", minstr_s);
     report.metric_f64("reference_minstr_per_sec", ref_minstr_s);
     report.metric_f64("speedup", speedup);
@@ -1003,7 +975,6 @@ pub fn sim_bench(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
 /// modes — the switch gates only counter/histogram recording, never
 /// the computation.
 pub fn obs_overhead(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
-    let t0 = Instant::now();
     let (dim, context) = bench_scale_dims(spec.scale);
     let requests = spec.param_usize("requests", 240)?.max(1);
     let rounds = spec.param_usize("rounds", 3)?.max(1);
@@ -1061,7 +1032,7 @@ pub fn obs_overhead(spec: &ExperimentSpec, report: &mut Report) -> Result<(), Ru
     report.metric_f64("max_overhead", max_overhead);
     report.metric_f64("throughput_on_rps", rps_on);
     report.metric_f64("throughput_off_rps", rps_off);
-    report.phase("measure", t0.elapsed().as_secs_f64());
+    report.lap("measure");
     if overhead > max_overhead {
         return Err(RunError(format!(
             "[obs_overhead] FAIL: metrics-on overhead {:.2}% above the allowed {:.2}%",

@@ -42,22 +42,19 @@ fn train_config(spec: &ExperimentSpec) -> Result<TrainConfig, RunError> {
 pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let tag = spec.kind.name();
     let scale = spec.scale;
-    let t0 = std::time::Instant::now();
     let configs = spec.march_configs();
     let resolved = crate::programs::resolve_suite(spec).map_err(RunError)?;
     let trace_len = spec.trace_len_or(scale.trace_len());
     // Run every external program once before dataset generation: a trap
     // must surface its source diagnostic, not a panic mid-pipeline.
     crate::programs::preflight(&resolved, trace_len).map_err(RunError)?;
+    report.lap("preflight");
     perfvec_obs::info!(
         "figures",
         "[{tag}] generating datasets ({} programs x {} microarchitectures)...",
         resolved.workloads.len(),
         configs.len()
     );
-    // Each phase gets its own instant: `t0` measures the whole run, so
-    // reusing it per phase would misattribute earlier phases' time.
-    let t_data = std::time::Instant::now();
     let workloads = &resolved.workloads;
     let parts = datasets(
         spec,
@@ -68,15 +65,11 @@ pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
         spec.feature_mask,
     );
     let data = SuiteData::assemble_from(workloads, parts);
-    let data_secs = t_data.elapsed().as_secs_f64();
-    report.phase("datasets", data_secs);
     perfvec_obs::info!("figures", "[{tag}] training foundation model...");
 
     let cfg = train_config(spec)?;
-    let t_train = std::time::Instant::now();
     let trained = train_and_refit(&data, &cfg)?;
-    let train_secs = t_train.elapsed().as_secs_f64();
-    report.phase("train", train_secs);
+    report.lap("train");
     perfvec_obs::info!(
         "figures",
         "[{tag}] trained {} in {:.1}s (best epoch {}, val loss {:.4})",
@@ -86,10 +79,8 @@ pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
         trained.report.val_loss[trained.report.best_epoch as usize],
     );
 
-    let t_eval = std::time::Instant::now();
     let rows = eval_seen_unseen(&trained, &data);
-    let eval_secs = t_eval.elapsed().as_secs_f64();
-    report.phase("eval", eval_secs);
+    report.lap("eval");
     let title = match spec.kind {
         ExperimentKind::Fig3 => {
             "Figure 3: prediction error, seen + unseen programs, seen microarchitectures"
@@ -110,10 +101,6 @@ pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
         "unseen-program mean error {:>5.1}%",
         subset_mean(&rows, false) * 100.0
     );
-    println!(
-        "total wall time {:.1}s (datasets {data_secs:.1}s, training+refit {train_secs:.1}s, eval {eval_secs:.1}s)",
-        t0.elapsed().as_secs_f64(),
-    );
     report.metric_f64("seen_mean_error", subset_mean(&rows, true));
     report.metric_f64("unseen_mean_error", subset_mean(&rows, false));
     report.metric("model", Json::Str(trained.foundation.describe()));
@@ -126,25 +113,20 @@ pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
 /// set and report the error collapse.
 pub fn fig4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
-    let t0 = std::time::Instant::now();
     perfvec_obs::info!("figures", "[fig4] generating datasets...");
     let configs = spec.march_configs();
-    let t_data = std::time::Instant::now();
     let trace_len = spec.trace_len_or(scale.trace_len());
     let data = suite_datasets(spec, report, &configs, trace_len);
-    let data_secs = t_data.elapsed().as_secs_f64();
-    report.phase("datasets", data_secs);
     let cfg = scale.train_config();
 
     perfvec_obs::info!(
         "figures",
         "[fig4] training on the Table II split (lbm unseen)..."
     );
-    let t_train = std::time::Instant::now();
     let base = train_and_refit(&data, &cfg)?;
-    let base_secs = t_train.elapsed().as_secs_f64();
-    report.phase("base_train", base_secs);
+    let base_secs = report.lap("base_train");
     let base_rows = eval_seen_unseen(&base, &data);
+    report.lap("base_eval");
 
     // Move lbm into the training set.
     let mut train = data.train.clone();
@@ -161,11 +143,10 @@ pub fn fig4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         "figures",
         "[fig4] base model in {base_secs:.1}s; retraining with 519.lbm-like in the training set..."
     );
-    let t_retrain = std::time::Instant::now();
     let updated = train_and_refit(&moved, &cfg)?;
-    let retrain_secs = t_retrain.elapsed().as_secs_f64();
-    report.phase("retrain", retrain_secs);
+    report.lap("retrain");
     let rows = eval_seen_unseen(&updated, &moved);
+    report.lap("eval");
 
     let lbm_before = base_rows
         .iter()
@@ -200,10 +181,6 @@ pub fn fig4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         subset_mean(&base_rows, true) * 100.0,
         subset_mean(&rows, true) * 100.0
     );
-    println!(
-        "total wall time {:.1}s (datasets {data_secs:.1}s, base training {base_secs:.1}s, retraining {retrain_secs:.1}s)",
-        t0.elapsed().as_secs_f64()
-    );
     report.metric_f64("lbm_error_before", lbm_before);
     report.metric_f64("lbm_error_after", lbm_after);
     report.metric_f64("unseen_mean_error_before", subset_mean(&base_rows, false));
@@ -218,21 +195,15 @@ pub fn fig4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
 /// representations.
 pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
-    let t0 = std::time::Instant::now();
     perfvec_obs::info!(
         "figures",
         "[fig5] generating datasets + training foundation..."
     );
     let configs = spec.march_configs();
     let trace_len = spec.trace_len_or(scale.trace_len());
-    let t_data = std::time::Instant::now();
     let data = suite_datasets(spec, report, &configs, trace_len);
-    let data_secs = t_data.elapsed().as_secs_f64();
-    report.phase("datasets", data_secs);
-    let t_train = std::time::Instant::now();
     let trained = train_and_refit(&data, &scale.train_config())?;
-    let train_secs = t_train.elapsed().as_secs_f64();
-    report.phase("train", train_secs);
+    report.lap("train");
 
     // 10 fresh machines; tuning data = 3 seen programs simulated on them.
     let unseen = unseen_population(spec.seed);
@@ -241,7 +212,6 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         "[fig5] fine-tuning representations of {} unseen machines...",
         unseen.len()
     );
-    let t_ft = std::time::Instant::now();
     let tuning_workloads: Vec<Workload> = suite()
         .into_iter()
         .filter(|w| w.role == SuiteRole::Training)
@@ -255,15 +225,13 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         ..Default::default()
     };
     let (march_table, ft_loss) = learn_march_reps(&trained.foundation, &tuning, &ft);
-    let ft_secs = t_ft.elapsed().as_secs_f64();
-    report.phase("finetune", ft_secs);
+    let ft_secs = report.lap("finetune");
     perfvec_obs::info!(
         "figures",
         "[fig5] fine-tuned in {ft_secs:.1}s (final loss {ft_loss:.4}); evaluating all programs..."
     );
 
     // Evaluate every program on the unseen machines.
-    let t_eval = std::time::Instant::now();
     let eval_data = datasets(spec, report, &suite(), &unseen, trace_len, mask);
     let mut rows = Vec::new();
     for (w, d) in suite().iter().zip(&eval_data) {
@@ -278,8 +246,7 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
             &truths,
         ));
     }
-    let eval_secs = t_eval.elapsed().as_secs_f64();
-    report.phase("eval", eval_secs);
+    let eval_secs = report.lap("eval");
     perfvec_obs::info!("figures", "[fig5] evaluated in {eval_secs:.1}s");
     println!(
         "{}",
@@ -296,10 +263,6 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         "unseen-program mean error {:>5.1}%",
         subset_mean(&rows, false) * 100.0
     );
-    println!(
-        "total wall time {:.1}s (datasets {data_secs:.1}s, training {train_secs:.1}s, fine-tune {ft_secs:.1}s, eval {eval_secs:.1}s)",
-        t0.elapsed().as_secs_f64()
-    );
     report.metric_f64("seen_mean_error", subset_mean(&rows, true));
     report.metric_f64("unseen_mean_error", subset_mean(&rows, false));
     report.metric_f64("finetune_loss", ft_loss);
@@ -311,7 +274,6 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
 /// **Figure 6**: foundation-architecture ablation.
 pub fn fig6(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
-    let t0 = std::time::Instant::now();
     // Reduced budget: the ablation compares architectures *relative* to
     // one another, so every candidate gets the same smaller dataset and
     // schedule.
@@ -321,10 +283,7 @@ pub fn fig6(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         "[fig6] generating ablation datasets ({trace_len} instrs/program)..."
     );
     let configs = spec.march_configs();
-    let t_data = std::time::Instant::now();
     let data = suite_datasets(spec, report, &configs, trace_len);
-    let data_secs = t_data.elapsed().as_secs_f64();
-    report.phase("datasets", data_secs);
     let (train, test) = (data.train, data.test);
 
     let d = 32usize;
@@ -462,6 +421,7 @@ pub fn fig6(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         arch_rows.push(Json::Obj(arch_row));
         series.push((name, unseen_err * 100.0));
     }
+    report.lap("candidate_sweep");
     println!(
         "{}",
         bar_chart(
@@ -470,12 +430,6 @@ pub fn fig6(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
             &series
         )
     );
-    println!(
-        "total wall time {:.1}s (datasets {data_secs:.1}s, candidate sweep {:.1}s)",
-        t0.elapsed().as_secs_f64(),
-        t0.elapsed().as_secs_f64() - data_secs
-    );
-    report.phase("candidate_sweep", t0.elapsed().as_secs_f64() - data_secs);
     report.metric("architectures", Json::Arr(arch_rows));
     Ok(())
 }
@@ -483,18 +437,12 @@ pub fn fig6(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
 /// **Figure 7**: L1/L2 cache design-space exploration.
 pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
-    let t0 = std::time::Instant::now();
     perfvec_obs::info!("figures", "[fig7] training foundation model...");
     let configs = spec.march_configs();
     let trace_len = spec.trace_len_or(scale.trace_len());
-    let t_data = std::time::Instant::now();
     let data = suite_datasets(spec, report, &configs, trace_len);
-    let data_secs = t_data.elapsed().as_secs_f64();
-    report.phase("datasets", data_secs);
-    let t_train = std::time::Instant::now();
     let trained = train_and_refit(&data, &scale.train_config())?;
-    let train_secs = t_train.elapsed().as_secs_f64();
-    report.phase("train", train_secs);
+    report.lap("train");
     let base = predefined_configs()
         .into_iter()
         .find(|c| c.name == "cortex-a7-like")
@@ -521,7 +469,6 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         "figures",
         "[fig7] collecting DSE tuning data (18 configs x 3 programs)..."
     );
-    let t_tune = std::time::Instant::now();
     let tuning_workloads: Vec<_> = suite().into_iter().take(3).collect();
     let mask = spec.feature_mask;
     let tuning = datasets(
@@ -532,7 +479,6 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         trace_len,
         mask,
     );
-    report.phase("tuning_data", t_tune.elapsed().as_secs_f64());
 
     // --- step 2: train the microarchitecture representation model.
     perfvec_obs::info!(
@@ -550,13 +496,13 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
             ..Default::default()
         },
     );
+    report.lap("march_model");
     perfvec_obs::info!(
         "figures",
         "[fig7] representation model trained (loss {loss:.4}); sweeping the grid..."
     );
 
     // --- step 3: sweep all programs over the full grid.
-    let t_sweep = std::time::Instant::now();
     let mut outcomes: Vec<DseOutcome> = Vec::new();
     let mut namd_surfaces: Option<(Vec<f64>, Vec<f64>)> = None;
     for w in suite() {
@@ -591,7 +537,7 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         }
         outcomes.push(outcome);
     }
-    report.phase("grid_sweep", t_sweep.elapsed().as_secs_f64());
+    report.lap("grid_sweep");
 
     // --- report.
     let row_labels: Vec<String> = grid.l2_kb.iter().map(|l2| format!("L2 {l2}kB")).collect();
@@ -635,11 +581,6 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         "mean quality (fraction of designs beating the selection): {:.1}%",
         mean_quality * 100.0
     );
-    println!(
-        "total wall time {:.1}s (datasets {data_secs:.1}s, training {train_secs:.1}s, grid sweep {:.1}s)",
-        t0.elapsed().as_secs_f64(),
-        t_sweep.elapsed().as_secs_f64()
-    );
     report.metric_f64("optimal_programs", optimal as f64);
     report.metric_f64("top2_programs", top2 as f64);
     report.metric_f64("top3_programs", top3 as f64);
@@ -652,19 +593,12 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
 /// **Figure 8**: matmul loop-tiling analysis on cortex-a7-like.
 pub fn fig8(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
-    let t0 = std::time::Instant::now();
     perfvec_obs::info!("figures", "[fig8] training foundation model...");
     let configs = spec.march_configs();
-    let t_data = std::time::Instant::now();
     let trace_len = spec.trace_len_or(scale.trace_len());
     let data = suite_datasets(spec, report, &configs, trace_len);
-    let data_secs = t_data.elapsed().as_secs_f64();
-    report.phase("datasets", data_secs);
-    let t_train = std::time::Instant::now();
     let trained = train_and_refit(&data, &scale.train_config())?;
-    let train_secs = t_train.elapsed().as_secs_f64();
-    report.phase("train", train_secs);
-    let t_tiles = std::time::Instant::now();
+    report.lap("train");
     // cortex-a7-like is one of the 7 predefined training machines: its
     // representation comes straight from the learned table.
     let a7_idx = configs
@@ -707,7 +641,7 @@ pub fn fig8(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         sim_ms.push(sim.total_tenths * 1e-7);
         pred_ms.push(pred.max(0.0) * 1e-7);
     }
-    report.phase("tile_sweep", t_tiles.elapsed().as_secs_f64());
+    report.lap("tile_sweep");
 
     println!(
         "{}",
@@ -735,11 +669,6 @@ pub fn fig8(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         .0]
         .clone();
     println!("optimal tile: {best_sim} (simulation), {best_pred} (PerfVec)");
-    println!(
-        "total wall time {:.1}s (datasets {data_secs:.1}s, training {train_secs:.1}s, tile sweep {:.1}s)",
-        t0.elapsed().as_secs_f64(),
-        t_tiles.elapsed().as_secs_f64()
-    );
     report.metric(
         "tiles",
         Json::Arr(

@@ -40,7 +40,6 @@ use std::time::Instant;
 /// generality flags plus measured prediction speeds on this machine.
 pub fn table3(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
-    let t0 = Instant::now();
     perfvec_obs::info!(
         "tables",
         "[table3] preparing a common workload and small models..."
@@ -85,13 +84,12 @@ pub fn table3(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
     let t = Instant::now();
     let _ = ithemal.predict_total_tenths(&base);
     let ithemal_ips = n / t.elapsed().as_secs_f64();
+    report.lap("baselines");
 
     // --- PerfVec: representation generation (one-time, parallel) then
     //     instant dot-product predictions ---
-    let t_data = Instant::now();
     let mask = spec.feature_mask;
     let data = datasets(spec, report, &workloads, &configs, trace_len, mask).remove(0);
-    report.phase("datasets", t_data.elapsed().as_secs_f64());
     let cfg = TrainConfig {
         arch: ArchSpec::default_lstm(32),
         context: 12,
@@ -105,6 +103,7 @@ pub fn table3(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
         ..TrainConfig::default()
     };
     let trained = crate::pipeline::train(&[data], &cfg)?;
+    report.lap("train");
     let t = Instant::now();
     let rp = program_representation(&trained.foundation, &base);
     let repgen_ips = n / t.elapsed().as_secs_f64();
@@ -120,6 +119,7 @@ pub fn table3(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
     let per_pred_ns = t.elapsed().as_nanos() as f64 / trained.march_table.k as f64;
     std::hint::black_box(black_hole);
     let _ = rp_stream;
+    report.lap("perfvec_speed");
 
     println!("== Table III: modeling approaches (measured on this machine) ==");
     println!(
@@ -184,7 +184,6 @@ pub fn table3(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
         stream_ips / 1e6
     );
     println!("(representations are reusable across every microarchitecture afterwards)");
-    println!("total wall time {:.1}s", t0.elapsed().as_secs_f64());
     report.metric_f64("simulator_ips", sim_ips);
     report.metric_f64("ithemal_ips", ithemal_ips);
     report.metric_f64("simnet_ips", simnet_ips);
@@ -217,7 +216,6 @@ fn arg_min(v: &[f64]) -> usize {
 /// quality on the L1/L2 cache design space.
 pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> {
     let scale = spec.scale;
-    let t0 = Instant::now();
     let grid = CacheGrid::default();
     let points = grid.points();
     let base = predefined_configs()
@@ -234,11 +232,11 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
         "tables",
         "[table4] exhaustive ground truth (17 programs x 36 configs)..."
     );
-    let t_exhaustive = Instant::now();
     let traces: Vec<_> = suite()
         .iter()
         .map(|w| (w.name.clone(), w.trace(trace_len)))
         .collect();
+    report.lap("traces");
     // The grid datasets come from the content-addressed cache like any
     // other batch; ground-truth totals are the target column sums —
     // the harness-wide ground-truth convention (`eval_seen_unseen`),
@@ -250,7 +248,6 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
         .iter()
         .map(|d| (0..d.num_marches()).map(|j| d.total_time(j)).collect())
         .collect();
-    report.phase("ground_truth", t_exhaustive.elapsed().as_secs_f64());
     let true_obj: Vec<Vec<f64>> = times
         .iter()
         .map(|ts| {
@@ -272,6 +269,7 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
     }
     let sim_cost = t_probe.elapsed().as_secs_f64() / 3.0;
     let exhaustive_secs = 17.0 * 36.0 * sim_cost;
+    report.lap("ground_truth");
 
     // ---- program-specific MLP predictor [28]: 9 sims per program ----
     perfvec_obs::info!("tables", "[table4] program-specific MLP predictor...");
@@ -377,7 +375,7 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
         ab_picks.push(arg_min(&pred_obj));
     }
     let ab_secs = t_a.elapsed().as_secs_f64() + 17.0 * 10.0 * sim_cost;
-    report.phase("baselines", t_m.elapsed().as_secs_f64());
+    report.lap("baselines");
 
     // ---- PerfVec ----
     perfvec_obs::info!(
@@ -385,13 +383,9 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
         "[table4] PerfVec (foundation pre-training excluded, as in the paper)..."
     );
     let configs = spec.march_configs();
-    let t_data = Instant::now();
     let data = suite_datasets(spec, report, &configs, trace_len);
-    report.phase("datasets", t_data.elapsed().as_secs_f64());
-    let t_found = Instant::now();
     let trained = train_and_refit(&data, &scale.train_config())?;
-    let foundation_secs = t_found.elapsed().as_secs_f64();
-    report.phase("train", foundation_secs);
+    let foundation_secs = report.lap("train");
 
     let t_p = Instant::now();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xd5e7);
@@ -444,8 +438,9 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
             .collect();
         pv_picks.push(arg_min(&pred_obj));
     }
+    // The method's overhead includes collecting its tuning data.
     let pv_secs = t_p.elapsed().as_secs_f64();
-    report.phase("perfvec_dse", pv_secs);
+    report.lap("perfvec_dse");
 
     // ---- report ----
     println!("== Table IV: DSE methods on the 6x6 cache space, 17 programs ==");
@@ -505,6 +500,5 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
         "(PerfVec additionally amortizes a one-time foundation training of {foundation_secs:.0}s \
          across every future DSE; baselines repeat their full cost per study)"
     );
-    println!("total wall time {:.1}s", t0.elapsed().as_secs_f64());
     Ok(())
 }

@@ -199,6 +199,35 @@ fn report_subcommand_rejects_invalid_documents() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
+
+    // Phases must be finite, non-negative seconds summing to at most
+    // `wall_seconds`; the first document is the valid control.
+    for (phases, want) in [
+        (r#""datasets": 1.5, "train": 0.5"#, None),
+        (r#""datasets": 1.5, "train": -0.5"#, Some("\"train\"")),
+        (r#""datasets": 1.5, "train": 1e999"#, Some("\"train\"")),
+        (
+            r#""datasets": 1.5, "train": 0.6"#,
+            Some("past wall_seconds"),
+        ),
+    ] {
+        let doc = format!(
+            r#"{{"cache": {{}}, "experiment": "fig3", "metrics": {{}}, "phases": {{{phases}}},
+                "schema_version": 1, "spec": {{}}, "versions": {{}}, "wall_seconds": 2.0}}"#
+        );
+        std::fs::write(&bad, doc).unwrap();
+        let out = perfvec()
+            .args(["report", bad.to_str().unwrap()])
+            .output()
+            .unwrap();
+        match want {
+            None => assert!(out.status.success(), "{phases}: {}", stderr(&out)),
+            Some(want) => {
+                assert_eq!(out.status.code(), Some(1), "{phases}");
+                assert!(stderr(&out).contains(want), "{phases}: {}", stderr(&out));
+            }
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -284,6 +313,22 @@ fn config_file_sweep_runs_custom_scenarios() {
                 "missing metric {key} in {path:?}"
             );
         }
+
+        // Phases partition the run: the dataset stage always records
+        // `datasets`, and every phase is finite seconds, the whole set
+        // summing to at most the wall time.
+        let phases = report.get("phases").and_then(Json::as_obj).expect("phases");
+        assert!(
+            phases.iter().any(|(name, _)| name == "datasets"),
+            "no datasets phase in {path:?}"
+        );
+        let secs: Vec<f64> = phases.iter().map(|(_, s)| s.as_f64().unwrap()).collect();
+        assert!(
+            secs.iter().all(|s| s.is_finite() && *s >= 0.0),
+            "{phases:?}"
+        );
+        let wall = report.get("wall_seconds").and_then(Json::as_f64).unwrap();
+        assert!(secs.iter().sum::<f64>() <= wall, "{phases:?} past {wall}");
 
         // `perfvec report` accepts its own output.
         let out = perfvec()

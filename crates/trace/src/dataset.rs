@@ -1,5 +1,5 @@
-//! Training-dataset containers: per-program feature/target matrices,
-//! context windows, and train/validation/test splits.
+//! Training-dataset containers: per-program feature/target matrices
+//! and context windows.
 
 use crate::features::{Matrix, NUM_FEATURES};
 
@@ -95,48 +95,6 @@ pub fn fill_window(features: &Matrix, i: usize, context: usize, out: &mut [f32])
     }
 }
 
-/// Deterministic train/validation/test split over instruction indices.
-#[derive(Debug, Clone)]
-pub struct Split {
-    /// Training indices.
-    pub train: Vec<usize>,
-    /// Validation indices (model selection).
-    pub val: Vec<usize>,
-    /// Held-out test indices.
-    pub test: Vec<usize>,
-}
-
-impl Split {
-    /// Split `n` indices into train/val/test with the given fractions
-    /// (the remainder goes to test), shuffled by a splitmix64 stream
-    /// seeded with `seed`. The paper uses 90/5/5 (Section IV-C).
-    pub fn new(n: usize, train_frac: f64, val_frac: f64, seed: u64) -> Split {
-        assert!(train_frac + val_frac <= 1.0);
-        let mut idx: Vec<usize> = (0..n).collect();
-        // Fisher-Yates with a splitmix64 stream: no rand dependency here.
-        let mut s = seed.wrapping_add(0x9e3779b97f4a7c15);
-        let mut next = move || {
-            s = s.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        };
-        for i in (1..idx.len()).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            idx.swap(i, j);
-        }
-        let n_train = (n as f64 * train_frac).round() as usize;
-        let n_val = (n as f64 * val_frac).round() as usize;
-        let val_end = (n_train + n_val).min(n);
-        Split {
-            train: idx[..n_train.min(n)].to_vec(),
-            val: idx[n_train.min(n)..val_end].to_vec(),
-            test: idx[val_end..].to_vec(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,31 +159,5 @@ mod tests {
         let d = toy_data(5, 4).with_march_subset(&[3, 1]);
         assert_eq!(d.num_marches(), 2);
         assert_eq!(d.targets.row(2), &[23.0, 21.0]);
-    }
-
-    #[test]
-    fn split_partitions_all_indices() {
-        let s = Split::new(1000, 0.9, 0.05, 42);
-        assert_eq!(s.train.len() + s.val.len() + s.test.len(), 1000);
-        let mut all: Vec<usize> = s
-            .train
-            .iter()
-            .chain(&s.val)
-            .chain(&s.test)
-            .cloned()
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..1000).collect::<Vec<_>>());
-        assert_eq!(s.train.len(), 900);
-        assert_eq!(s.val.len(), 50);
-    }
-
-    #[test]
-    fn split_is_deterministic_and_seed_sensitive() {
-        let a = Split::new(100, 0.8, 0.1, 7);
-        let b = Split::new(100, 0.8, 0.1, 7);
-        let c = Split::new(100, 0.8, 0.1, 8);
-        assert_eq!(a.train, b.train);
-        assert_ne!(a.train, c.train);
     }
 }

@@ -36,6 +36,6 @@ pub mod features;
 pub mod fingerprint;
 pub mod stack_distance;
 
-pub use dataset::{fill_window, ProgramData, Split};
+pub use dataset::{fill_window, ProgramData};
 pub use decoded::{DecodedInst, DecodedTrace};
 pub use features::{extract_features, FeatureMask, Matrix, NUM_FEATURES};
